@@ -9,16 +9,15 @@
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod alloc_stats;
-
 use dcsim::Nanos;
 use fairsim::render::{f3, fmt_size, TextTable};
 use fairsim::scenarios::LONG_FLOW_BYTES;
 use fairsim::series::thin;
 use fairsim::{
-    CcSpec, DatacenterResult, FaultResult, IncastResult, IncastScenario, ProtocolKind, RunCtx,
-    Scenario, SchedulerKind, TraceConfig, TraceLevel, Tracer, Variant,
+    CcOptions, CcSpec, DatacenterResult, FaultResult, IncastResult, IncastScenario, ProtocolKind,
+    RunCtx, Scenario, SchedulerKind, TraceConfig, TraceLevel, Tracer, Variant,
 };
+use fleet::slug;
 use netsim::FatTreeConfig;
 use workloads::distributions;
 
@@ -37,9 +36,6 @@ pub const DEFAULT_SEED: u64 = 42;
 /// Everything a figure function needs besides its own workload: the
 /// datacenter scale, the root seed, the scheduler backend, the trace
 /// configuration, and where (if anywhere) to write trace artifacts.
-///
-/// Replaces the old `(scale, seed, scheduler)` parameter triples so new
-/// run-wide knobs stop multiplying every signature in this crate.
 #[derive(Debug, Clone)]
 pub struct FigureCtx {
     /// Datacenter experiment scale.
@@ -96,20 +92,6 @@ impl FigureCtx {
             .with_scheduler(self.scheduler)
             .with_trace(self.trace)
     }
-}
-
-/// File-name slug for a variant label: lowercase alphanumerics, runs of
-/// anything else collapsed to `-`.
-fn slug(label: &str) -> String {
-    let mut out = String::with_capacity(label.len());
-    for c in label.chars() {
-        if c.is_ascii_alphanumeric() {
-            out.push(c.to_ascii_lowercase());
-        } else if !out.ends_with('-') {
-            out.push('-');
-        }
-    }
-    out.trim_matches('-').to_string()
 }
 
 /// Write a run's trace artifacts under `ctx.trace_dir`:
@@ -585,15 +567,6 @@ pub fn fig13(ctx: &FigureCtx) -> String {
     )
 }
 
-/// Nearest-rank percentile of an ascending-sorted slice.
-fn percentile(sorted: &[f64], q: f64) -> f64 {
-    if sorted.is_empty() {
-        return f64::NAN;
-    }
-    let rank = (q * sorted.len() as f64).ceil() as usize;
-    sorted[rank.clamp(1, sorted.len()) - 1]
-}
-
 /// Fault sweep: FCT-slowdown CDFs under fabric wire loss and a flapping
 /// agg–spine link, baseline HPCC vs VAI+SF.
 ///
@@ -657,15 +630,21 @@ pub fn faults(ctx: &FigureCtx) -> String {
         for r in [b, t] {
             let mut v: Vec<f64> = r.raw.iter().map(|&(_, _, s)| s).collect();
             v.sort_by(|a, b| a.partial_cmp(b).expect("no NaN"));
+            // Interpolating, like the sweep reports, so `--faults` and `--sweep
+            // paper-faults` agree; a cell that completed nothing has no tail.
+            let pct = |p: f64| match v.as_slice() {
+                [] => "-".to_string(),
+                sorted => f3(metrics::percentile_sorted(sorted, p)),
+            };
             tbl.row(vec![
                 name.clone(),
                 r.label.clone(),
                 r.n_flows.to_string(),
                 r.completed.to_string(),
-                f3(percentile(&v, 0.5)),
-                f3(percentile(&v, 0.9)),
-                f3(percentile(&v, 0.99)),
-                f3(percentile(&v, 0.999)),
+                pct(50.0),
+                pct(90.0),
+                pct(99.0),
+                pct(99.9),
                 r.outcome.name().to_string(),
             ]);
         }
@@ -726,135 +705,32 @@ pub fn ablation_mechanisms(ctx: &FigureCtx) -> String {
     )
 }
 
-/// Run the paper's staggered incast with a *custom* per-flow CC factory
-/// (for ablations that tweak parameters the `Variant` enum does not
-/// expose). Returns the same [`IncastResult`] the stock scenarios yield.
-fn run_incast_custom<F>(senders: usize, ctx: &FigureCtx, label: &str, make_cc: F) -> IncastResult
-where
-    F: Fn(u64) -> Box<dyn faircc::CongestionControl>,
-{
-    let seed = ctx.seed;
-    let sc = IncastScenario::paper(
-        senders,
-        CcSpec::new(ProtocolKind::Hpcc, Variant::VaiSf),
-        seed,
-    );
-    let topo = netsim::Topology::paper_star(senders + 1);
-    let hosts = topo.hosts.clone();
-    let switch = topo.switches[0];
-    let mut net = topo.builder.build(
-        netsim::NetConfig {
-            seed,
-            ..Default::default()
-        },
-        netsim::MonitorConfig {
-            sample_interval: Some(sc.sample_interval),
-            sample_until: sc.horizon,
-            watch_ports: vec![],
-            track_flow_rates: true,
-        },
-    );
-    net.set_tracer(Tracer::new(ctx.trace));
-    let bottleneck = net.port_towards(switch, hosts[senders]).expect("port");
-    net.monitor.cfg.watch_ports = vec![bottleneck];
-    for (i, f) in workloads::staggered_incast(&sc.incast).iter().enumerate() {
-        net.add_flow(
-            netsim::FlowSpec {
-                src: hosts[f.src],
-                dst: hosts[f.dst],
-                size: f.size,
-                start: f.start,
-            },
-            make_cc(seed.wrapping_mul(1009).wrapping_add(i as u64)),
-        );
+/// Run the paper's staggered incast under HPCC VAI+SF with `tweak`
+/// applied to every flow's config — for ablations of parameters the
+/// `Variant` enum does not expose. Same scenario, same pipeline and same
+/// [`IncastResult`] as the stock runs; only the per-flow CC differs.
+fn run_incast_tweaked(
+    senders: usize,
+    ctx: &FigureCtx,
+    label: &str,
+    tweak: impl Fn(&mut cc_hpcc::HpccConfig),
+) -> IncastResult {
+    let spec = CcSpec::new(ProtocolKind::Hpcc, Variant::VaiSf);
+    let sc = IncastScenario::paper(senders, spec, ctx.seed);
+    let mut res = sc.run_with_cc(&ctx.run_ctx(), &|env, flow_seed| {
+        let mut cfg = cc_hpcc::HpccConfig::vai_sf(env.base_rtt, env.line_rate, env.min_bdp);
+        tweak(&mut cfg);
+        Box::new(cc_hpcc::Hpcc::new(cfg, dcsim::DetRng::new(flow_seed)))
+    });
+    res.label = label.to_string();
+    if let Some(tracer) = &res.trace {
+        write_trace_artifacts(ctx, label, tracer);
     }
-    let (mut net, outcome, events_handled, occupancy_hwm) =
-        run_primed(net, sc.horizon, ctx.scheduler);
-    let trace = if simtrace::ENABLED && ctx.trace.level != fairsim::TraceLevel::Off {
-        net.publish_metrics();
-        let tracer = net.take_tracer();
-        write_trace_artifacts(ctx, label, &tracer);
-        Some(tracer)
-    } else {
-        None
-    };
-    let jain: Vec<(f64, f64)> = net
-        .monitor
-        .samples()
-        .iter()
-        .filter(|smp| !smp.flow_rates.is_empty())
-        .map(|smp| {
-            let rates: Vec<f64> = smp.flow_rates.iter().map(|(_, r)| *r).collect();
-            (smp.t.as_micros_f64(), metrics::jain(&rates))
-        })
-        .collect();
-    let fcts = net.monitor.fcts().to_vec();
-    let mut raw: Vec<(u32, u64, f64)> = Vec::with_capacity(fcts.len());
-    for r in &fcts {
-        // Same denominator as the stock scenarios: the pristine ideal FCT.
-        let ideal = net.ideal_fct(r.flow);
-        let slowdown = (r.fct().as_u64() as f64 / ideal.as_u64() as f64).max(1.0);
-        raw.push((r.flow.0, r.size.as_u64(), slowdown));
-    }
-    IncastResult {
-        label: label.to_string(),
-        jain,
-        queue: net
-            .monitor
-            .samples()
-            .iter()
-            .map(|smp| {
-                (
-                    smp.t.as_micros_f64(),
-                    smp.queue_bytes.first().copied().unwrap_or(0),
-                )
-            })
-            .collect(),
-        fcts,
-        raw,
-        all_finished: net.all_finished(),
-        outcome,
-        events_handled,
-        occupancy_hwm,
-        trace,
-    }
-}
-
-/// Prime and run `net` until `deadline` on the selected scheduler (with
-/// the standard stall watchdog), returning the world, the run outcome,
-/// the number of events dispatched, and the scheduler occupancy
-/// high-water mark.
-fn run_primed(
-    net: netsim::Network,
-    deadline: Nanos,
-    scheduler: SchedulerKind,
-) -> (netsim::Network, netsim::RunOutcome, u64, u64) {
-    use dcsim::{EventQueue, Scheduler, Simulation, TimingWheel};
-    fn go<S: Scheduler<netsim::Event> + Default>(
-        net: netsim::Network,
-        deadline: Nanos,
-    ) -> (netsim::Network, netsim::RunOutcome, u64, u64) {
-        let mut sim = Simulation::with_scheduler(net, S::default());
-        {
-            let (w, q) = sim.split_mut();
-            w.prime(q);
-        }
-        let watchdog = Nanos(deadline.as_u64() / 4).max(Nanos::from_millis(1));
-        let outcome = netsim::run_watched(&mut sim, deadline, u64::MAX, watchdog);
-        let handled = sim.events_handled();
-        let occupancy = sim.occupancy_high_water() as u64;
-        (sim.into_world(), outcome, handled, occupancy)
-    }
-    match scheduler {
-        SchedulerKind::Heap => go::<EventQueue<netsim::Event>>(net, deadline),
-        SchedulerKind::Wheel => go::<TimingWheel<netsim::Event>>(net, deadline),
-    }
+    res
 }
 
 /// Ablation: Sampling Frequency cadence sweep (s in {5, 15, 30, 60, 120}).
 pub fn ablation_sf(ctx: &FigureCtx) -> String {
-    use cc_hpcc::{Hpcc, HpccConfig};
-    use dcsim::{Bytes, DetRng};
     let mut out = String::from("== Ablation: SF cadence sweep, 16-1 incast, HPCC VAI+SF ==\n\n");
     let mut tbl = TextTable::new(vec![
         "s (ACKs)",
@@ -862,15 +738,11 @@ pub fn ablation_sf(ctx: &FigureCtx) -> String {
         "peak queue(KB)",
         "finish spread(us)",
     ]);
-    let base_rtt = netsim::Topology::paper_star(17).base_rtt;
     for s in [5u32, 15, 30, 60, 120] {
-        let res = run_incast_custom(16, ctx, &format!("s={s}"), |fseed| {
-            let mut cfg =
-                HpccConfig::vai_sf(base_rtt, dcsim::BitRate::from_gbps(100), Bytes::from_kb(50));
+        let res = run_incast_tweaked(16, ctx, &format!("s={s}"), |cfg| {
             cfg.sf = Some(faircc::SfConfig {
                 acks_per_decrease: s,
             });
-            Box::new(Hpcc::new(cfg, DetRng::new(fseed)))
         });
         tbl.row(vec![
             format!("{s}"),
@@ -889,8 +761,6 @@ pub fn ablation_sf(ctx: &FigureCtx) -> String {
 /// elevated AI feed back into fresh congestion during a 96-1 incast; the
 /// dampener bounds queues at equal fairness.
 pub fn ablation_dampener(ctx: &FigureCtx) -> String {
-    use cc_hpcc::{Hpcc, HpccConfig};
-    use dcsim::{Bytes, DetRng};
     let mut out = String::from("== Ablation: VAI dampener on/off, 96-1 incast, HPCC VAI+SF ==\n\n");
     let mut tbl = TextTable::new(vec![
         "dampener",
@@ -899,17 +769,13 @@ pub fn ablation_dampener(ctx: &FigureCtx) -> String {
         "finish spread(us)",
         "all finished",
     ]);
-    let base_rtt = netsim::Topology::paper_star(97).base_rtt;
     for (label, constant) in [("enabled (8)", 8.0f64), ("disabled", f64::INFINITY)] {
-        let res = run_incast_custom(96, ctx, label, |fseed| {
-            let mut cfg =
-                HpccConfig::vai_sf(base_rtt, dcsim::BitRate::from_gbps(100), Bytes::from_kb(50));
+        let res = run_incast_tweaked(96, ctx, label, |cfg| {
             if let Some(vai) = &mut cfg.vai {
                 // An infinite constant makes the divisor 1 regardless of
                 // the dampener value: the feedback brake is off.
                 vai.dampener_constant = constant;
             }
-            Box::new(Hpcc::new(cfg, DetRng::new(fseed)))
         });
         tbl.row(vec![
             label.to_string(),
@@ -932,11 +798,12 @@ pub fn ablation_dampener(ctx: &FigureCtx) -> String {
 /// from a hyper additive increase setting like in Timely, which can
 /// help grab available bandwidth").
 pub fn ablation_hyper_ai(ctx: &FigureCtx) -> String {
+    let hai = CcOptions::default().hyper_ai();
     let specs = [
         CcSpec::new(ProtocolKind::Swift, Variant::Default),
-        CcSpec::new(ProtocolKind::Swift, Variant::Default).with_hyper_ai(),
+        CcSpec::new(ProtocolKind::Swift, Variant::Default).with_options(hai),
         CcSpec::new(ProtocolKind::Swift, Variant::VaiSf),
-        CcSpec::new(ProtocolKind::Swift, Variant::VaiSf).with_hyper_ai(),
+        CcSpec::new(ProtocolKind::Swift, Variant::VaiSf).with_options(hai),
     ];
     let results = run_datacenters(&specs, &[distributions::FB_HADOOP], ctx);
     let mut out = render_slowdown(
@@ -1010,10 +877,8 @@ pub fn ablation_permutation(ctx: &FigureCtx) -> String {
             fat_tree,
             arrivals: arrivals.clone(),
             cc: CcSpec::new(kind, variant),
-            seed: ctx.seed,
             deadline: Nanos::from_millis(50),
             sample_interval: None,
-            scheduler: ctx.scheduler,
         }
         .run_with(&ctx.run_ctx());
         if let Some(tracer) = &res.trace {
@@ -1040,12 +905,9 @@ pub fn ablation_permutation(ctx: &FigureCtx) -> String {
 /// high-rate flows would then also increase more often. Expect fairness
 /// to regress relative to decrease-only SF.
 pub fn ablation_sf_increases(ctx: &FigureCtx) -> String {
-    use cc_hpcc::{Hpcc, HpccConfig};
-    use dcsim::{Bytes, DetRng};
     let mut out = String::from(
         "== Ablation (negative control): SF gating increases too, 16-1 incast, HPCC ==\n\n",
     );
-    let base_rtt = netsim::Topology::paper_star(17).base_rtt;
     let mut tbl = TextTable::new(vec![
         "variant",
         "converge@0.9(us)",
@@ -1053,12 +915,7 @@ pub fn ablation_sf_increases(ctx: &FigureCtx) -> String {
         "finish spread(us)",
     ]);
     for (label, on_increases) in [("SF decreases only (paper)", false), ("SF both ways", true)] {
-        let res = run_incast_custom(16, ctx, label, |fseed| {
-            let mut cfg =
-                HpccConfig::vai_sf(base_rtt, dcsim::BitRate::from_gbps(100), Bytes::from_kb(50));
-            cfg.sf_on_increases = on_increases;
-            Box::new(Hpcc::new(cfg, DetRng::new(fseed)))
-        });
+        let res = run_incast_tweaked(16, ctx, label, |cfg| cfg.sf_on_increases = on_increases);
         tbl.row(vec![
             label.to_string(),
             res.convergence_time(0.9)
@@ -1281,6 +1138,36 @@ mod tests {
         assert!(run_figure("fig4", &ctx).is_some());
     }
 
+    /// The cells after `label` in the table row that starts with it.
+    fn row<'a>(table: &'a str, label: &str) -> Vec<&'a str> {
+        let line = table
+            .lines()
+            .map(str::trim_start)
+            .find(|l| l.starts_with(label))
+            .unwrap_or_else(|| panic!("no row {label:?} in:\n{table}"));
+        line[label.len()..].split_whitespace().collect()
+    }
+
+    /// One convergence definition: the ablation rows that run the paper's
+    /// own HPCC VAI+SF parameters (through `run_with_cc`) report what
+    /// fig5's 16-1 "HPCC VAI SF" summary row reports for the same run.
+    #[test]
+    fn ablation_paper_rows_agree_with_fig5() {
+        let ctx = FigureCtx::new(Scale::Reduced, DEFAULT_SEED);
+        let vai_sf = CcSpec::new(ProtocolKind::Hpcc, Variant::VaiSf);
+        let fig5 = render_jain_queue("", &run_incasts(&[vai_sf], 16, &ctx), 30);
+        // converge@0.9, unfairness integral, peak queue, mean queue,
+        // finish spread, all finished
+        let want = row(&fig5, "HPCC VAI SF");
+
+        let sf_increases = ablation_sf_increases(&ctx);
+        let paper = row(&sf_increases, "SF decreases only (paper)");
+        assert_eq!(paper, [want[0], want[1], want[4]], "{sf_increases}");
+
+        let sf = ablation_sf(&ctx);
+        assert_eq!(row(&sf, "30"), [want[0], want[2], want[4]], "{sf}");
+    }
+
     #[test]
     fn fig4_json_is_valid() {
         let ctx = FigureCtx::new(Scale::Reduced, 1);
@@ -1288,12 +1175,5 @@ mod tests {
         let v = minijson::Value::parse(&json).unwrap();
         assert!(v.as_array().unwrap().len() > 100);
         assert!(run_figure_json("ablation-pfc", &ctx).is_none());
-    }
-
-    #[test]
-    fn slugs_are_filename_safe() {
-        assert_eq!(slug("HPCC 1Gbps"), "hpcc-1gbps");
-        assert_eq!(slug("Swift VAI SF"), "swift-vai-sf");
-        assert_eq!(slug("s=15"), "s-15");
     }
 }

@@ -61,8 +61,9 @@ pub trait Scheduler<E> {
 
 /// Which [`Scheduler`] implementation a scenario runs on.
 ///
-/// Carried as a field on scenario specs so harnesses (and the `perfbase`
-/// benchmark) can switch engines per run. Defaults to the binary heap.
+/// Carried by the run context (`fairsim::RunCtx`, `fleet::SweepConfig`),
+/// never by a scenario, so harnesses and the benchmark switch engines per
+/// run. Defaults to the binary heap.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum SchedulerKind {
     /// Binary-heap calendar queue ([`EventQueue`](crate::EventQueue)).

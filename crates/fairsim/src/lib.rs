@@ -1,15 +1,24 @@
 //! `fairsim` — the experiment layer tying the simulator, protocols,
 //! workloads, and metrics together into the paper's benchmarks.
 //!
-//! Everything here is driven by two scenario types:
+//! Everything here is driven by four scenario types, each of which only
+//! *describes* its run and *collects* its own result; one private pipeline
+//! in [`scenarios`] builds, runs and tears down every one of them:
 //!
 //! * [`scenarios::IncastScenario`] — the 16-1 / 96-1 staggered incast on a
 //!   single-switch star (Figures 1-3, 5, 6, 8, 9);
 //! * [`scenarios::DatacenterScenario`] — Poisson traffic from empirical
-//!   flow-size distributions on the 3-layer fat-tree (Figures 10-13).
+//!   flow-size distributions on the 3-layer fat-tree (Figures 10-13);
+//! * [`scenarios::FaultScenario`] — the same under fabric wire loss and a
+//!   flapping link;
+//! * [`scenarios::TraceScenario`] — replay of an explicit arrival list.
 //!
-//! A [`spec::CcSpec`] names a protocol (HPCC / Swift / DCQCN) and a
-//! variant (default, high-AI, probabilistic, VAI, SF, VAI+SF), and builds
+//! All four run through [`Scenario::run_with`] under a [`RunCtx`] (seed,
+//! scheduler, tracing); [`IncastScenario::run_with_cc`] is the one entry
+//! point for a congestion control [`CcSpec`] cannot name.
+//!
+//! A [`spec::CcSpec`] names a protocol (HPCC / Swift / DCQCN / Timely) and
+//! a variant (default, high-AI, probabilistic, VAI, SF, VAI+SF), and builds
 //! per-flow congestion-control instances from a [`spec::NetEnv`]
 //! describing the topology's base RTT, line rate, and minimum BDP.
 //!
@@ -35,7 +44,7 @@ pub use scenarios::{
 };
 pub use spec::{CcOptions, CcSpec, NetEnv, ProtocolKind, Variant};
 
-// The scheduler knob on every scenario comes from the engine crate; re-export
+// The run context's scheduler knob comes from the engine crate; re-export
 // it so harnesses can name it without depending on dcsim directly. Same for
 // the observability configuration from simtrace.
 pub use dcsim::SchedulerKind;

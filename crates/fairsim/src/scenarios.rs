@@ -1,15 +1,23 @@
 //! The experiment drivers, unified behind the [`Scenario`] trait.
+//!
+//! A scenario type only *describes* its run (a private `Plan`) and
+//! *collects* its own result from the finished network; the private
+//! `execute` is the one build → flows → run path in between.
+
+use std::borrow::Cow;
 
 use dcsim::{EventQueue, Nanos, Scheduler, SchedulerKind, Simulation, TimingWheel};
+use faircc::CongestionControl;
 use metrics::{jain, SlowdownRecord, SlowdownTable};
 use netsim::{
     run_watched, FatTreeConfig, FaultPlan, FaultStats, FctRecord, FlapSchedule, FlowSpec,
-    LinkFault, LossModel, MonitorConfig, NetConfig, Network, RtoBackoff, RunOutcome, Topology,
+    LinkFault, LossModel, MonitorConfig, NetConfig, Network, NodeId, RtoBackoff, RunOutcome,
+    Topology,
 };
 use simtrace::{TraceConfig, TraceLevel, Tracer};
 use workloads::{
     arrivals::{mixed_arrivals, ArrivalConfig},
-    distributions, staggered_incast, IncastConfig,
+    distributions, staggered_incast, FlowArrival, IncastConfig,
 };
 
 use crate::spec::{CcSpec, NetEnv};
@@ -58,16 +66,25 @@ impl RunCtx {
 
 /// An experiment that can be run under a [`RunCtx`].
 ///
-/// All three drivers ([`IncastScenario`], [`DatacenterScenario`],
-/// [`TraceScenario`]) implement this, so harness code can be generic over
-/// the scenario type and thread seed/scheduler/trace settings through one
-/// place instead of poking per-scenario fields.
+/// All four drivers ([`IncastScenario`], [`DatacenterScenario`],
+/// [`TraceScenario`], [`FaultScenario`]) implement this, so harness code
+/// can be generic over the scenario type, and seed/scheduler/trace
+/// settings travel in the context, never in scenario fields.
 pub trait Scenario {
     /// The result type the run produces.
     type Outcome;
 
     /// Execute the scenario under the given context.
     fn run_with(&self, ctx: &RunCtx) -> Self::Outcome;
+}
+
+/// A finished run, for its scenario to collect from.
+struct Finished {
+    net: Network,
+    outcome: RunOutcome,
+    events_handled: u64,
+    occupancy_hwm: u64,
+    trace: Option<Tracer>,
 }
 
 /// Prime and run a primed network to `deadline` under scheduler `S`,
@@ -77,39 +94,35 @@ pub trait Scenario {
 /// exact same driver code — the scheduler is the only degree of freedom,
 /// which is what the scheduler-equivalence tests rely on. The watchdog
 /// chunking is event-order transparent, so it does not perturb results.
-///
-/// The final `u64` is the scheduler's occupancy high-water mark (0 unless
-/// the `trace` feature is compiled in).
 fn drive<S: Scheduler<netsim::Event> + Default>(
     net: Network,
     deadline: Nanos,
     budget: u64,
     watchdog: Nanos,
-) -> (Network, RunOutcome, u64, u64) {
+) -> Finished {
     let mut sim = Simulation::with_scheduler(net, S::default());
     {
         let (w, q) = sim.split_mut();
         w.prime(q);
     }
     let outcome = run_watched(&mut sim, deadline, budget, watchdog);
-    let handled = sim.events_handled();
-    let occupancy = sim.occupancy_high_water() as u64;
-    (sim.into_world(), outcome, handled, occupancy)
-}
-
-/// Run `net` to `deadline` on the scheduler selected by `kind`.
-pub(crate) fn run_network(
-    kind: SchedulerKind,
-    net: Network,
-    deadline: Nanos,
-    budget: u64,
-    watchdog: Nanos,
-) -> (Network, RunOutcome, u64, u64) {
-    match kind {
-        SchedulerKind::Heap => drive::<EventQueue<netsim::Event>>(net, deadline, budget, watchdog),
-        SchedulerKind::Wheel => {
-            drive::<TimingWheel<netsim::Event>>(net, deadline, budget, watchdog)
-        }
+    let events_handled = sim.events_handled();
+    let occupancy_hwm = sim.occupancy_high_water() as u64;
+    let mut net = sim.into_world();
+    // Publish end-of-run metrics and detach the tracer for the result;
+    // `None` when tracing was configured off or compiled out, so results
+    // stay lightweight on untraced runs.
+    let traced = simtrace::ENABLED && net.tracer().config().level != TraceLevel::Off;
+    let trace = traced.then(|| {
+        net.publish_metrics();
+        net.take_tracer()
+    });
+    Finished {
+        net,
+        outcome,
+        events_handled,
+        occupancy_hwm,
+        trace,
     }
 }
 
@@ -120,26 +133,104 @@ fn default_watchdog(deadline: Nanos) -> Nanos {
     Nanos(deadline.as_u64() / 4).max(Nanos::from_millis(1))
 }
 
-/// Install a tracer on a freshly built network, honoring the spec-level
-/// CC sampling cadence when the context leaves it unset.
-fn install_tracer(net: &mut Network, cc: &CcSpec, ctx: &RunCtx) {
+/// Everything that differs between the scenario families, resolved
+/// before the shared [`execute`] sequence.
+struct Plan<'a> {
+    topo: Topology,
+    env: NetEnv,
+    /// Network parameters; [`execute`] sets the seed from the context.
+    cfg: NetConfig,
+    monitor: MonitorConfig,
+    /// Record the backlog of the egress port on the first node that
+    /// leads to the second (ports only exist once the network is built).
+    watch: Option<(NodeId, NodeId)>,
+    /// The flows to inject (host indices into `topo.hosts`).
+    arrivals: Cow<'a, [FlowArrival]>,
+    /// Per-flow CC seed rule: `ctx.seed * seed_mul + flow index`, so the
+    /// probabilistic variants draw an independent stream per flow.
+    seed_mul: u64,
+    deadline: Nanos,
+    /// Event budget (runaway protection).
+    budget: u64,
+    /// Stall-watchdog window.
+    watchdog: Nanos,
+}
+
+/// The one way a scenario runs: RED if the protocol needs it → build →
+/// tracer → flows → run to the deadline on the context's scheduler.
+///
+/// `cc` supplies the network-side needs (RED marking, trace cadence);
+/// `make_cc(env, flow_seed)` each flow's congestion control.
+fn execute(
+    plan: Plan<'_>,
+    cc: &CcSpec,
+    ctx: &RunCtx,
+    make_cc: &dyn Fn(&NetEnv, u64) -> Box<dyn CongestionControl>,
+) -> Finished {
+    let hosts = plan.topo.hosts;
+    let mut builder = plan.topo.builder;
+    if cc.needs_red() {
+        builder.red_on_switches(netsim::RedConfig::dcqcn_100g());
+    }
+    let mut cfg = plan.cfg;
+    cfg.seed = ctx.seed;
+    let mut net = builder.build(cfg, plan.monitor);
+    // A spec-level CC sampling cadence overrides the context's.
     let mut tcfg = ctx.trace;
     if cc.opts.trace_sample_every > 1 {
         tcfg = tcfg.with_cc_sample_every(cc.opts.trace_sample_every);
     }
     net.set_tracer(Tracer::new(tcfg));
+    if let Some((from, towards)) = plan.watch {
+        let port = net
+            .port_towards(from, towards)
+            .expect("the watched port's nodes are linked");
+        net.monitor.cfg.watch_ports = vec![port];
+    }
+    for (i, f) in plan.arrivals.iter().enumerate() {
+        let flow_seed = ctx.seed.wrapping_mul(plan.seed_mul).wrapping_add(i as u64);
+        net.add_flow(
+            FlowSpec {
+                src: hosts[f.src],
+                dst: hosts[f.dst],
+                size: f.size,
+                start: f.start,
+            },
+            make_cc(&plan.env, flow_seed),
+        );
+    }
+    let (deadline, budget, watchdog) = (plan.deadline, plan.budget, plan.watchdog);
+    match ctx.scheduler {
+        SchedulerKind::Heap => drive::<EventQueue<_>>(net, deadline, budget, watchdog),
+        SchedulerKind::Wheel => drive::<TimingWheel<_>>(net, deadline, budget, watchdog),
+    }
 }
 
-/// Publish end-of-run metrics and detach the tracer for the result.
+/// Per-flow `(flow id, size, slowdown)` rows in completion order.
 ///
-/// Returns `None` when tracing was configured off or compiled out, so
-/// results stay lightweight on untraced runs.
-fn finish_tracer(net: &mut Network) -> Option<Tracer> {
-    if !simtrace::ENABLED || net.tracer().config().level == TraceLevel::Off {
-        return None;
+/// The denominator is the pristine ideal FCT (routed over the pre-fault
+/// table), so staggered queueing, reroute detours and retransmissions
+/// inflate the numerator only. The ideal rounds serialization up per
+/// packet while the link model carries picosecond residue, so a perfectly
+/// scheduled flow can undershoot by a few ns; clamp at 1.
+fn slowdown_rows(net: &Network) -> Vec<(u32, u64, f64)> {
+    let mut raw = Vec::with_capacity(net.monitor.fcts().len());
+    for r in net.monitor.fcts() {
+        let ideal = net.ideal_fct(r.flow);
+        let slowdown = (r.fct().as_u64() as f64 / ideal.as_u64() as f64).max(1.0);
+        raw.push((r.flow.0, r.size.as_u64(), slowdown));
     }
-    net.publish_metrics();
-    Some(net.take_tracer())
+    raw
+}
+
+/// The figures' binned slowdown statistics (100 bins, 99.9 % tail) of
+/// [`slowdown_rows`].
+fn slowdown_table(raw: &[(u32, u64, f64)]) -> SlowdownTable {
+    let records = raw
+        .iter()
+        .map(|&(_, size, slowdown)| SlowdownRecord { size, slowdown })
+        .collect();
+    SlowdownTable::build(records, 100, 99.9)
 }
 
 /// A 16-1 / 96-1 staggered-incast run (Figures 1-3, 5, 6, 8, 9).
@@ -149,15 +240,14 @@ pub struct IncastScenario {
     pub incast: IncastConfig,
     /// Protocol under test.
     pub cc: CcSpec,
-    /// Scenario seed.
+    /// Unused by the run: [`Scenario::run_with`] seeds from `ctx.seed`.
+    /// Kept because the constructor signature and this field are part of
+    /// the API `benchmark/` pins; only a benchmark change can retire it.
     pub seed: u64,
     /// Monitor sampling cadence (paper figures resolve ~10 µs features).
     pub sample_interval: Nanos,
     /// Hard simulation horizon (safety net; incasts normally drain first).
     pub horizon: Nanos,
-    /// Event scheduler backing the run (results are scheduler-invariant;
-    /// the wheel is faster on dense timer populations).
-    pub scheduler: SchedulerKind,
 }
 
 impl IncastScenario {
@@ -177,85 +267,48 @@ impl IncastScenario {
             seed,
             sample_interval: Nanos::from_micros(5),
             horizon: Nanos::from_millis(50),
-            scheduler: SchedulerKind::default(),
         }
     }
 
-    /// Select the event-scheduler backend (chainable).
-    pub fn with_scheduler(mut self, scheduler: SchedulerKind) -> Self {
-        self.scheduler = scheduler;
-        self
+    /// [`Scenario::run_with`] with the per-flow congestion control built by
+    /// `make_cc(env, flow_seed)` instead of by `self.cc` — the entry point
+    /// for protocols and parameter settings [`CcSpec`] cannot name. `self.cc`
+    /// still decides the network side (RED marking) and the result's
+    /// `label`, which the caller usually overwrites.
+    pub fn run_with_cc(
+        &self,
+        ctx: &RunCtx,
+        make_cc: &dyn Fn(&NetEnv, u64) -> Box<dyn CongestionControl>,
+    ) -> IncastResult {
+        self.collect(execute(self.plan(), &self.cc, ctx, make_cc))
     }
 
-    /// Compatibility shim: run under a context assembled from this
-    /// scenario's own `seed`/`scheduler` fields, with tracing off.
-    /// Prefer [`Scenario::run_with`] for new code.
-    pub fn run(&self) -> IncastResult {
-        self.run_with(&RunCtx::new(self.seed).with_scheduler(self.scheduler))
-    }
-}
-
-impl Scenario for IncastScenario {
-    type Outcome = IncastResult;
-
-    /// Run to completion (or the horizon) and collect the figure series.
-    fn run_with(&self, ctx: &RunCtx) -> IncastResult {
+    /// The run's description: the paper's star, sampled, bottleneck watched.
+    fn plan(&self) -> Plan<'static> {
         let topo = Topology::paper_star(self.incast.senders + 1);
-        let env = NetEnv::incast_star(topo.base_rtt);
-        let hosts = topo.hosts.clone();
-        let receiver = hosts[self.incast.senders];
-        let switch = topo.switches[0];
-
-        let mut builder = topo.builder;
-        if self.cc.needs_red() {
-            builder.red_on_switches(netsim::RedConfig::dcqcn_100g());
-        }
-        let mut net = builder.build(
-            NetConfig {
-                seed: ctx.seed,
-                ..NetConfig::default()
-            },
-            MonitorConfig {
+        Plan {
+            env: NetEnv::incast_star(topo.base_rtt),
+            cfg: NetConfig::default(),
+            monitor: MonitorConfig {
                 sample_interval: Some(self.sample_interval),
                 sample_until: self.horizon,
                 watch_ports: vec![],
                 track_flow_rates: true,
             },
-        );
-        install_tracer(&mut net, &self.cc, ctx);
-        // Watch the bottleneck: the switch's egress port to the receiver.
-        let bottleneck = net
-            .port_towards(switch, receiver)
-            .expect("receiver is attached to the switch");
-        net.monitor.cfg.watch_ports = vec![bottleneck];
-
-        for (i, f) in staggered_incast(&self.incast).iter().enumerate() {
-            let cc = self
-                .cc
-                .build(&env, ctx.seed.wrapping_mul(1009).wrapping_add(i as u64));
-            net.add_flow(
-                FlowSpec {
-                    src: hosts[f.src],
-                    dst: hosts[f.dst],
-                    size: f.size,
-                    start: f.start,
-                },
-                cc,
-            );
+            // The bottleneck: the switch's egress port to the receiver.
+            watch: Some((topo.switches[0], topo.hosts[self.incast.senders])),
+            arrivals: staggered_incast(&self.incast).into(),
+            seed_mul: 1009,
+            deadline: self.horizon,
+            budget: 2_000_000_000,
+            watchdog: default_watchdog(self.horizon),
+            topo,
         }
+    }
 
-        let (mut net, outcome, events_handled, occupancy_hwm) = run_network(
-            ctx.scheduler,
-            net,
-            self.horizon,
-            2_000_000_000,
-            default_watchdog(self.horizon),
-        );
-        assert!(
-            outcome != RunOutcome::Budget,
-            "incast run exploded its event budget"
-        );
-
+    /// The figure series and per-flow rows of a finished run.
+    fn collect(&self, run: Finished) -> IncastResult {
+        let net = &run.net;
         // Jain over a trailing window: instantaneous 5 us rates are shot
         // noise once the fair share falls near one packet per interval
         // (96 flows at ~1 Gbps each send a packet every ~8 us), so the
@@ -265,41 +318,40 @@ impl Scenario for IncastScenario {
         // simlint: allow(D4) — dimensionless sample count, not a unit quantity
         let k = (window_us / self.sample_interval.as_micros_f64()).ceil() as usize;
         let jain_series = jain_over_trailing_window(net.monitor.samples(), k.max(1));
-        let mut queue_series = Vec::new();
+        let mut queue_series = Vec::with_capacity(net.monitor.samples().len());
         for s in net.monitor.samples() {
             if let Some(q) = s.queue_bytes.first() {
                 queue_series.push((s.t.as_micros_f64(), *q));
             }
         }
-        let all_finished = net.all_finished();
-        let fcts = net.monitor.fcts().to_vec();
-        let mut raw: Vec<(u32, u64, f64)> = Vec::with_capacity(fcts.len());
-        for r in &fcts {
-            // Same denominator as the datacenter scenarios: the pristine
-            // ideal FCT, so staggered-queueing delay shows up as slowdown.
-            let ideal = net.ideal_fct(r.flow);
-            let slowdown = (r.fct().as_u64() as f64 / ideal.as_u64() as f64).max(1.0);
-            raw.push((r.flow.0, r.size.as_u64(), slowdown));
-        }
         IncastResult {
             label: self.cc.label(),
             jain: jain_series,
             queue: queue_series,
-            fcts,
-            raw,
-            all_finished,
-            outcome,
-            events_handled,
-            occupancy_hwm,
-            trace: finish_tracer(&mut net),
+            fcts: net.monitor.fcts().to_vec(),
+            raw: slowdown_rows(net),
+            all_finished: net.all_finished(),
+            outcome: run.outcome,
+            events_handled: run.events_handled,
+            occupancy_hwm: run.occupancy_hwm,
+            trace: run.trace,
         }
+    }
+}
+
+impl Scenario for IncastScenario {
+    type Outcome = IncastResult;
+
+    /// Run to completion (or the horizon) and collect the figure series.
+    fn run_with(&self, ctx: &RunCtx) -> IncastResult {
+        self.run_with_cc(ctx, &|env, flow_seed| self.cc.build(env, flow_seed))
     }
 }
 
 /// Compute a Jain-index time series where each point uses per-flow rates
 /// averaged over the trailing `k` monitor samples (flows contribute to a
-/// point only while active; see `IncastScenario::run` for why smoothing
-/// is needed at high incast degree).
+/// point only while active; see [`IncastScenario::collect`] for why
+/// smoothing is needed at high incast degree).
 fn jain_over_trailing_window(samples: &[netsim::Sample], k: usize) -> Vec<(f64, f64)> {
     let mut out = Vec::new();
     for (i, s) in samples.iter().enumerate() {
@@ -350,8 +402,8 @@ pub struct IncastResult {
     /// Structured run disposition from the stall watchdog (completed /
     /// horizon / stalled / budget).
     pub outcome: RunOutcome,
-    /// Events the engine dispatched (scheduler-invariant; the perf
-    /// baseline divides this by wall time for events/sec).
+    /// Events the engine dispatched (scheduler-invariant; the benchmark
+    /// divides this by wall time for events/sec).
     pub events_handled: u64,
     /// Scheduler occupancy high-water mark (0 unless the `trace`
     /// feature is compiled in).
@@ -425,6 +477,48 @@ impl IncastResult {
     }
 }
 
+/// The plan the two Poisson fat-tree families share: arrivals drawn from
+/// the named distributions up to `horizon`, then a drain.
+fn poisson_plan(
+    fat_tree: &FatTreeConfig,
+    workloads: &[String],
+    load: f64,
+    horizon: Nanos,
+    seed: u64,
+) -> Plan<'static> {
+    let topo = fat_tree.build();
+    let dists: Vec<_> = workloads
+        .iter()
+        .map(|n| distributions::by_name(n).unwrap_or_else(|| panic!("unknown workload {n}")))
+        .collect();
+    let dist_refs: Vec<&workloads::EmpiricalCdf> = dists.iter().collect();
+    let arrivals = mixed_arrivals(
+        &ArrivalConfig {
+            n_hosts: topo.hosts.len(),
+            host_rate: fat_tree.host_rate,
+            load,
+            horizon,
+            seed: seed ^ 0xD15C0,
+        },
+        &dist_refs,
+    );
+    // Arrivals stop at the horizon; give the tail 4x the horizon to
+    // drain (starved long flows are exactly what we are measuring).
+    let drain_deadline = Nanos(horizon.as_u64() * 5);
+    Plan {
+        env: NetEnv::fat_tree(topo.base_rtt),
+        cfg: NetConfig::default(),
+        monitor: MonitorConfig::default(), // FCTs only; per-flow sampling off
+        watch: None,
+        arrivals: arrivals.into(),
+        seed_mul: 31,
+        deadline: drain_deadline,
+        budget: 20_000_000_000,
+        watchdog: default_watchdog(drain_deadline),
+        topo,
+    }
+}
+
 /// A fat-tree datacenter run (Figures 10-13).
 #[derive(Debug, Clone)]
 pub struct DatacenterScenario {
@@ -439,10 +533,9 @@ pub struct DatacenterScenario {
     pub horizon: Nanos,
     /// Protocol under test.
     pub cc: CcSpec,
-    /// Scenario seed.
+    /// Unused by the run: [`Scenario::run_with`] seeds from `ctx.seed`
+    /// (see [`IncastScenario::seed`] for why the field stays).
     pub seed: u64,
-    /// Event scheduler backing the run.
-    pub scheduler: SchedulerKind,
 }
 
 impl DatacenterScenario {
@@ -457,21 +550,7 @@ impl DatacenterScenario {
             horizon: Nanos::from_millis(2),
             cc,
             seed,
-            scheduler: SchedulerKind::default(),
         }
-    }
-
-    /// Select the event-scheduler backend (chainable).
-    pub fn with_scheduler(mut self, scheduler: SchedulerKind) -> Self {
-        self.scheduler = scheduler;
-        self
-    }
-
-    /// Compatibility shim: run under a context assembled from this
-    /// scenario's own `seed`/`scheduler` fields, with tracing off.
-    /// Prefer [`Scenario::run_with`] for new code.
-    pub fn run(&self) -> DatacenterResult {
-        self.run_with(&RunCtx::new(self.seed).with_scheduler(self.scheduler))
     }
 }
 
@@ -480,96 +559,25 @@ impl Scenario for DatacenterScenario {
 
     /// Run and build the slowdown tables.
     fn run_with(&self, ctx: &RunCtx) -> DatacenterResult {
-        let topo = self.fat_tree.build();
-        let env = NetEnv::fat_tree(topo.base_rtt);
-        let hosts = topo.hosts.clone();
-
-        let mut builder = topo.builder;
-        if self.cc.needs_red() {
-            builder.red_on_switches(netsim::RedConfig::dcqcn_100g());
-        }
-        let mut net = builder.build(
-            NetConfig {
-                seed: ctx.seed,
-                ..NetConfig::default()
-            },
-            MonitorConfig::default(), // FCTs only; per-flow sampling off
+        let plan = poisson_plan(
+            &self.fat_tree,
+            &self.workloads,
+            self.load,
+            self.horizon,
+            ctx.seed,
         );
-        install_tracer(&mut net, &self.cc, ctx);
-
-        let dists: Vec<_> = self
-            .workloads
-            .iter()
-            .map(|n| distributions::by_name(n).unwrap_or_else(|| panic!("unknown workload {n}")))
-            .collect();
-        let dist_refs: Vec<&workloads::EmpiricalCdf> = dists.iter().collect();
-        let arrivals = mixed_arrivals(
-            &ArrivalConfig {
-                n_hosts: hosts.len(),
-                host_rate: self.fat_tree.host_rate,
-                load: self.load,
-                horizon: self.horizon,
-                seed: ctx.seed ^ 0xD15C0,
-            },
-            &dist_refs,
-        );
-        let n_flows = arrivals.len();
-        for (i, f) in arrivals.iter().enumerate() {
-            let cc = self
-                .cc
-                .build(&env, ctx.seed.wrapping_mul(31).wrapping_add(i as u64));
-            net.add_flow(
-                FlowSpec {
-                    src: hosts[f.src],
-                    dst: hosts[f.dst],
-                    size: f.size,
-                    start: f.start,
-                },
-                cc,
-            );
-        }
-
-        // Arrivals stop at the horizon; give the tail 4x the horizon to
-        // drain (starved long flows are exactly what we are measuring).
-        let drain_deadline = Nanos(self.horizon.as_u64() * 5);
-        let (mut net, outcome, events_handled, occupancy_hwm) = run_network(
-            ctx.scheduler,
-            net,
-            drain_deadline,
-            20_000_000_000,
-            default_watchdog(drain_deadline),
-        );
-
-        let completed = net.monitor.fcts().len();
-        let mut raw: Vec<(u32, u64, f64)> = Vec::with_capacity(completed);
-        let records: Vec<SlowdownRecord> = net
-            .monitor
-            .fcts()
-            .iter()
-            .map(|r| {
-                let ideal = net.ideal_fct(r.flow);
-                // The ideal rounds serialization up per packet while the
-                // link model carries picosecond residue, so a perfectly
-                // scheduled flow can undershoot by a few ns; clamp at 1.
-                let slowdown = (r.fct().as_u64() as f64 / ideal.as_u64() as f64).max(1.0);
-                raw.push((r.flow.0, r.size.as_u64(), slowdown));
-                SlowdownRecord {
-                    size: r.size.as_u64(),
-                    slowdown,
-                }
-            })
-            .collect();
-        let table = SlowdownTable::build(records, 100, 99.9);
+        let run = execute(plan, &self.cc, ctx, &|env, s| self.cc.build(env, s));
+        let raw = slowdown_rows(&run.net);
         DatacenterResult {
             label: self.cc.label(),
-            table,
-            n_flows,
-            completed,
+            table: slowdown_table(&raw),
+            n_flows: run.net.flow_count(),
+            completed: raw.len(),
             raw,
-            outcome,
-            events_handled,
-            occupancy_hwm,
-            trace: finish_tracer(&mut net),
+            outcome: run.outcome,
+            events_handled: run.events_handled,
+            occupancy_hwm: run.occupancy_hwm,
+            trace: run.trace,
         }
     }
 }
@@ -611,18 +619,14 @@ pub struct TraceScenario {
     /// Topology.
     pub fat_tree: FatTreeConfig,
     /// The flows to inject (host indices into the topology's host list).
-    pub arrivals: Vec<workloads::FlowArrival>,
+    pub arrivals: Vec<FlowArrival>,
     /// Protocol under test.
     pub cc: CcSpec,
-    /// Scenario seed (network randomness; the arrivals are fixed).
-    pub seed: u64,
     /// Hard simulation deadline.
     pub deadline: Nanos,
     /// Optional per-flow rate sampling (for Jain analysis; keep `None`
     /// for large traces).
     pub sample_interval: Option<Nanos>,
-    /// Event scheduler backing the run.
-    pub scheduler: SchedulerKind,
 }
 
 /// Output of a trace replay.
@@ -648,101 +652,41 @@ pub struct TraceResult {
     pub trace: Option<Tracer>,
 }
 
-impl TraceScenario {
-    /// Select the event-scheduler backend (chainable).
-    pub fn with_scheduler(mut self, scheduler: SchedulerKind) -> Self {
-        self.scheduler = scheduler;
-        self
-    }
-
-    /// Compatibility shim: run under a context assembled from this
-    /// scenario's own `seed`/`scheduler` fields, with tracing off.
-    /// Prefer [`Scenario::run_with`] for new code.
-    pub fn run(&self) -> TraceResult {
-        self.run_with(&RunCtx::new(self.seed).with_scheduler(self.scheduler))
-    }
-}
-
 impl Scenario for TraceScenario {
     type Outcome = TraceResult;
 
     /// Run the replay.
     fn run_with(&self, ctx: &RunCtx) -> TraceResult {
         let topo = self.fat_tree.build();
-        let env = NetEnv::fat_tree(topo.base_rtt);
-        let hosts = topo.hosts.clone();
-        let mut builder = topo.builder;
-        if self.cc.needs_red() {
-            builder.red_on_switches(netsim::RedConfig::dcqcn_100g());
-        }
-        let mut net = builder.build(
-            NetConfig {
-                seed: ctx.seed,
-                ..NetConfig::default()
-            },
-            MonitorConfig {
+        let plan = Plan {
+            env: NetEnv::fat_tree(topo.base_rtt),
+            cfg: NetConfig::default(),
+            monitor: MonitorConfig {
                 sample_interval: self.sample_interval,
                 sample_until: self.deadline,
                 watch_ports: vec![],
                 track_flow_rates: self.sample_interval.is_some(),
             },
-        );
-        install_tracer(&mut net, &self.cc, ctx);
-        for (i, f) in self.arrivals.iter().enumerate() {
-            let cc = self
-                .cc
-                .build(&env, ctx.seed.wrapping_mul(61).wrapping_add(i as u64));
-            net.add_flow(
-                FlowSpec {
-                    src: hosts[f.src],
-                    dst: hosts[f.dst],
-                    size: f.size,
-                    start: f.start,
-                },
-                cc,
-            );
-        }
-        let (mut net, outcome, _, occupancy_hwm) = run_network(
-            ctx.scheduler,
-            net,
-            self.deadline,
-            20_000_000_000,
-            default_watchdog(self.deadline),
-        );
-        let raw: Vec<(u32, u64, f64)> = net
-            .monitor
-            .fcts()
-            .iter()
-            .map(|r| {
-                let ideal = net.ideal_fct(r.flow);
-                (
-                    r.flow.0,
-                    r.size.as_u64(),
-                    (r.fct().as_u64() as f64 / ideal.as_u64() as f64).max(1.0),
-                )
-            })
-            .collect();
-        let jain: Vec<(f64, f64)> = net
-            .monitor
-            .samples()
-            .iter()
-            .filter(|s| !s.flow_rates.is_empty())
-            .map(|s| {
-                let rates: Vec<f64> = s.flow_rates.iter().map(|(_, r)| *r).collect();
-                (s.t.as_micros_f64(), jain(&rates))
-            })
-            .collect();
-        let fcts = net.monitor.fcts().to_vec();
-        let all_finished = net.all_finished();
+            watch: None,
+            arrivals: Cow::Borrowed(&self.arrivals),
+            seed_mul: 61,
+            deadline: self.deadline,
+            budget: 20_000_000_000,
+            watchdog: default_watchdog(self.deadline),
+            topo,
+        };
+        let run = execute(plan, &self.cc, ctx, &|env, s| self.cc.build(env, s));
+        let net = &run.net;
         TraceResult {
             label: self.cc.label(),
-            fcts,
-            raw,
-            jain,
-            all_finished,
-            outcome,
-            occupancy_hwm,
-            trace: finish_tracer(&mut net),
+            fcts: net.monitor.fcts().to_vec(),
+            raw: slowdown_rows(net),
+            // A window of one sample: the instantaneous per-sample index.
+            jain: jain_over_trailing_window(net.monitor.samples(), 1),
+            all_finished: net.all_finished(),
+            outcome: run.outcome,
+            occupancy_hwm: run.occupancy_hwm,
+            trace: run.trace,
         }
     }
 }
@@ -768,10 +712,9 @@ pub struct FaultScenario {
     pub horizon: Nanos,
     /// Protocol under test.
     pub cc: CcSpec,
-    /// Scenario seed.
+    /// Unused by the run: [`Scenario::run_with`] seeds from `ctx.seed`
+    /// (see [`IncastScenario::seed`] for why the field stays).
     pub seed: u64,
-    /// Event scheduler backing the run.
-    pub scheduler: SchedulerKind,
     /// Mean per-packet loss probability applied to every fabric link
     /// (0 = no wire loss).
     pub loss: f64,
@@ -799,7 +742,6 @@ impl FaultScenario {
             horizon: Nanos::from_millis(2),
             cc,
             seed,
-            scheduler: SchedulerKind::default(),
             loss: 0.0,
             bursty: false,
             flap: None,
@@ -825,18 +767,6 @@ impl FaultScenario {
         self
     }
 
-    /// Select the event-scheduler backend (chainable).
-    pub fn with_scheduler(mut self, scheduler: SchedulerKind) -> Self {
-        self.scheduler = scheduler;
-        self
-    }
-
-    /// Compatibility shim mirroring the other scenarios: run under a
-    /// context assembled from this scenario's own fields, tracing off.
-    pub fn run(&self) -> FaultResult {
-        self.run_with(&RunCtx::new(self.seed).with_scheduler(self.scheduler))
-    }
-
     /// The loss model realizing `self.loss` as a long-run mean.
     ///
     /// The bursty channel is clean while good and parks 1/6 of packets
@@ -856,8 +786,8 @@ impl FaultScenario {
     /// every fabric link, the flap on the *last* fabric link (an
     /// agg–spine link in the fat tree, which always has ECMP siblings).
     fn fault_plan(&self, topo: &Topology, deadline: Nanos) -> FaultPlan {
-        let is_switch = |n: netsim::NodeId| topo.switches.contains(&n);
-        let fabric: Vec<(netsim::NodeId, netsim::NodeId)> = topo
+        let is_switch = |n: NodeId| topo.switches.contains(&n);
+        let fabric: Vec<(NodeId, NodeId)> = topo
             .links
             .iter()
             .copied()
@@ -901,101 +831,37 @@ impl Scenario for FaultScenario {
 
     /// Run under the fault plan and build the slowdown table.
     fn run_with(&self, ctx: &RunCtx) -> FaultResult {
-        let topo = self.fat_tree.build();
-        let env = NetEnv::fat_tree(topo.base_rtt);
-        let hosts = topo.hosts.clone();
-        let drain_deadline = Nanos(self.horizon.as_u64() * 5);
-        let faults = self.fault_plan(&topo, drain_deadline);
-
-        let mut builder = topo.builder;
-        if self.cc.needs_red() {
-            builder.red_on_switches(netsim::RedConfig::dcqcn_100g());
-        }
+        let mut plan = poisson_plan(
+            &self.fat_tree,
+            &self.workloads,
+            self.load,
+            self.horizon,
+            ctx.seed,
+        );
         // Backoff cap well below the watchdog window: a stalled-looking
         // flow that is merely waiting out its backed-off RTO must get a
         // retransmission attempt within every watchdog chunk.
         let rto_cap = Nanos::from_millis(1);
-        let mut net = builder.build(
-            NetConfig {
-                seed: ctx.seed,
-                faults,
-                rto_backoff: RtoBackoff {
-                    multiplier: 2,
-                    cap: rto_cap,
-                    jitter_frac: 0.1,
-                },
-                ..NetConfig::default()
-            },
-            MonitorConfig::default(),
-        );
-        install_tracer(&mut net, &self.cc, ctx);
-
-        let dists: Vec<_> = self
-            .workloads
-            .iter()
-            .map(|n| distributions::by_name(n).unwrap_or_else(|| panic!("unknown workload {n}")))
-            .collect();
-        let dist_refs: Vec<&workloads::EmpiricalCdf> = dists.iter().collect();
-        let arrivals = mixed_arrivals(
-            &ArrivalConfig {
-                n_hosts: hosts.len(),
-                host_rate: self.fat_tree.host_rate,
-                load: self.load,
-                horizon: self.horizon,
-                seed: ctx.seed ^ 0xD15C0,
-            },
-            &dist_refs,
-        );
-        let n_flows = arrivals.len();
-        for (i, f) in arrivals.iter().enumerate() {
-            let cc = self
-                .cc
-                .build(&env, ctx.seed.wrapping_mul(31).wrapping_add(i as u64));
-            net.add_flow(
-                FlowSpec {
-                    src: hosts[f.src],
-                    dst: hosts[f.dst],
-                    size: f.size,
-                    start: f.start,
-                },
-                cc,
-            );
-        }
-
-        let watchdog = default_watchdog(drain_deadline).max(Nanos(rto_cap.as_u64() * 5));
-        let (mut net, outcome, events_handled, occupancy_hwm) =
-            run_network(ctx.scheduler, net, drain_deadline, 20_000_000_000, watchdog);
-
-        let completed = net.monitor.fcts().len();
-        let mut raw: Vec<(u32, u64, f64)> = Vec::with_capacity(completed);
-        let records: Vec<SlowdownRecord> = net
-            .monitor
-            .fcts()
-            .iter()
-            .map(|r| {
-                // ideal_fct routes over the pristine (pre-fault) table,
-                // so outages inflate the numerator only.
-                let ideal = net.ideal_fct(r.flow);
-                let slowdown = (r.fct().as_u64() as f64 / ideal.as_u64() as f64).max(1.0);
-                raw.push((r.flow.0, r.size.as_u64(), slowdown));
-                SlowdownRecord {
-                    size: r.size.as_u64(),
-                    slowdown,
-                }
-            })
-            .collect();
-        let table = SlowdownTable::build(records, 100, 99.9);
+        plan.cfg.faults = self.fault_plan(&plan.topo, plan.deadline);
+        plan.cfg.rto_backoff = RtoBackoff {
+            multiplier: 2,
+            cap: rto_cap,
+            jitter_frac: 0.1,
+        };
+        plan.watchdog = plan.watchdog.max(Nanos(rto_cap.as_u64() * 5));
+        let run = execute(plan, &self.cc, ctx, &|env, s| self.cc.build(env, s));
+        let raw = slowdown_rows(&run.net);
         FaultResult {
             label: self.cc.label(),
-            table,
-            n_flows,
-            completed,
+            table: slowdown_table(&raw),
+            n_flows: run.net.flow_count(),
+            completed: raw.len(),
             raw,
-            outcome,
-            faults: net.fault_stats(),
-            events_handled,
-            occupancy_hwm,
-            trace: finish_tracer(&mut net),
+            outcome: run.outcome,
+            faults: run.net.fault_stats(),
+            events_handled: run.events_handled,
+            occupancy_hwm: run.occupancy_hwm,
+            trace: run.trace,
         }
     }
 }
@@ -1052,9 +918,8 @@ mod tests {
                 seed: 5,
                 sample_interval: Nanos::from_micros(5),
                 horizon: Nanos::from_millis(20),
-                scheduler: SchedulerKind::default(),
             };
-            let res = sc.run();
+            let res = sc.run_with(&RunCtx::new(5));
             assert!(res.all_finished, "{:?} did not finish", kind);
             assert_eq!(res.fcts.len(), 4);
             assert!(!res.jain.is_empty());
@@ -1076,9 +941,8 @@ mod tests {
                 seed: 3,
                 sample_interval: Nanos::from_micros(5),
                 horizon: Nanos::from_millis(20),
-                scheduler: SchedulerKind::default(),
             }
-            .run()
+            .run_with(&RunCtx::new(3))
         };
         let default = mk(Variant::Default);
         let vai_sf = mk(Variant::VaiSf);
@@ -1133,12 +997,10 @@ mod tests {
             },
             arrivals,
             cc: CcSpec::new(ProtocolKind::Hpcc, Variant::Default),
-            seed: 1,
             deadline: Nanos::from_millis(10),
             sample_interval: Some(Nanos::from_micros(10)),
-            scheduler: SchedulerKind::default(),
         };
-        let res = sc.run();
+        let res = sc.run_with(&RunCtx::new(1));
         assert!(res.all_finished);
         assert_eq!(res.fcts.len(), 8);
         assert_eq!(res.raw.len(), 8);
@@ -1166,41 +1028,26 @@ mod tests {
             },
             arrivals: a,
             cc: CcSpec::new(ProtocolKind::Swift, Variant::VaiSf),
-            seed: 4,
             deadline: Nanos::from_millis(10),
             sample_interval: None,
-            scheduler: SchedulerKind::default(),
         };
-        let a = mk(arrivals).run();
-        let b = mk(replayed).run();
+        let a = mk(arrivals).run_with(&RunCtx::new(4));
+        let b = mk(replayed).run_with(&RunCtx::new(4));
         assert_eq!(a.raw, b.raw);
     }
 
     #[test]
-    fn run_with_matches_legacy_run_shim() {
-        let sc = IncastScenario {
-            incast: IncastConfig {
-                senders: 4,
-                flow_size: Bytes::from_kb(200),
-                flows_per_interval: 2,
-                interval: Nanos::from_micros(20),
-            },
-            // Probabilistic gating actually draws from the seeded
-            // stream; the deterministic variants ignore the seed.
-            cc: CcSpec::new(ProtocolKind::Hpcc, Variant::Probabilistic),
-            seed: 11,
-            sample_interval: Nanos::from_micros(5),
-            horizon: Nanos::from_millis(20),
-            scheduler: SchedulerKind::default(),
-        };
-        let legacy = sc.run();
-        let ctx = RunCtx::new(11);
-        let unified = sc.run_with(&ctx);
-        assert_eq!(legacy.fcts, unified.fcts);
-        assert_eq!(legacy.jain, unified.jain);
-        // A different context seed must actually change the run.
-        let reseeded = sc.run_with(&RunCtx::new(12));
-        assert_ne!(legacy.fcts, reseeded.fcts);
+    fn incast_that_exhausts_its_event_budget_reports_budget() {
+        let sc = IncastScenario::paper(4, CcSpec::new(ProtocolKind::Hpcc, Variant::VaiSf), 7);
+        let mut plan = sc.plan();
+        plan.budget = 5_000;
+        let make_cc = |env: &NetEnv, flow_seed| sc.cc.build(env, flow_seed);
+        let res = sc.collect(execute(plan, &sc.cc, &RunCtx::new(7), &make_cc));
+        assert_eq!(res.outcome, RunOutcome::Budget);
+        assert_eq!(res.events_handled, 5_000);
+        // The truncated run still collects: some samples, no completions.
+        assert!(!res.all_finished && res.fcts.is_empty());
+        assert!(!res.queue.is_empty());
     }
 
     #[test]
@@ -1217,9 +1064,8 @@ mod tests {
                 seed: 7,
                 sample_interval: Nanos::from_micros(5),
                 horizon: Nanos::from_millis(20),
-                scheduler,
             }
-            .run()
+            .run_with(&RunCtx::new(7).with_scheduler(scheduler))
         };
         let heap = mk(SchedulerKind::Heap);
         let wheel = mk(SchedulerKind::Wheel);
@@ -1231,28 +1077,17 @@ mod tests {
     }
 
     #[test]
-    fn fault_scenario_with_no_knobs_matches_clean_run() {
-        // loss = 0, no flap: the fault plan is empty, so the run must be
-        // bit-identical to the plain DatacenterScenario (zero-cost-when-
-        // off, end to end through the scenario layer).
-        let workloads = vec![distributions::FB_HADOOP.to_string()];
-        let cc = CcSpec::new(ProtocolKind::Hpcc, Variant::VaiSf);
-        let clean = DatacenterScenario {
-            horizon: Nanos::from_micros(300),
-            ..DatacenterScenario::reduced(workloads.clone(), cc, 2)
-        }
-        .run();
-        let faulty = FaultScenario {
-            horizon: Nanos::from_micros(300),
-            ..FaultScenario::reduced(workloads, cc, 2)
-        };
+    fn fault_scenario_with_no_knobs_plans_no_faults() {
+        // loss = 0, no flap: the fault plan is empty (that the run then
+        // equals the plain DatacenterScenario's is tests/one_pipeline.rs).
+        let faulty = FaultScenario::reduced(
+            vec![distributions::FB_HADOOP.to_string()],
+            CcSpec::new(ProtocolKind::Hpcc, Variant::VaiSf),
+            2,
+        );
         assert!(faulty
             .fault_plan(&faulty.fat_tree.build(), Nanos::from_millis(1))
             .is_empty());
-        let res = faulty.run();
-        assert_eq!(res.raw, clean.raw, "empty fault plan changed results");
-        assert_eq!(res.faults, netsim::FaultStats::default());
-        assert_eq!(res.outcome, clean.outcome);
     }
 
     #[test]
@@ -1267,7 +1102,7 @@ mod tests {
         }
         .with_loss(1e-3)
         .with_flap(Nanos::from_micros(200), Nanos::from_micros(40));
-        let res = sc.run();
+        let res = sc.run_with(&RunCtx::new(2));
         assert!(res.n_flows > 0);
         assert!(res.completed > 0, "no flows completed under faults");
         // The injected faults actually fired.
@@ -1295,8 +1130,7 @@ mod tests {
             .with_loss(5e-3)
             .with_bursty()
             .with_flap(Nanos::from_micros(250), Nanos::from_micros(50))
-            .with_scheduler(scheduler)
-            .run()
+            .run_with(&RunCtx::new(7).with_scheduler(scheduler))
         };
         let heap = mk(SchedulerKind::Heap);
         let wheel = mk(SchedulerKind::Wheel);
@@ -1321,9 +1155,8 @@ mod tests {
             horizon: Nanos::from_micros(300),
             cc: CcSpec::new(ProtocolKind::Hpcc, Variant::Default),
             seed: 2,
-            scheduler: SchedulerKind::default(),
         };
-        let res = sc.run();
+        let res = sc.run_with(&RunCtx::new(2));
         assert!(res.n_flows > 0);
         assert!(res.completed > 0, "no flows completed");
         assert!(!res.table.points.is_empty());

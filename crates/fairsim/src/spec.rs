@@ -152,15 +152,6 @@ impl CcSpec {
         self
     }
 
-    /// Enable Timely-style hyper AI (meaningful for Swift only).
-    ///
-    /// Compatibility shim for the pre-`CcOptions` API; equivalent to
-    /// `self.with_options(self.opts.hyper_ai())`.
-    pub fn with_hyper_ai(mut self) -> Self {
-        self.opts.hyper_ai = true;
-        self
-    }
-
     /// Whether this spec needs RED/ECN marking enabled on switches.
     pub fn needs_red(&self) -> bool {
         self.kind == ProtocolKind::Dcqcn
@@ -394,11 +385,12 @@ mod tests {
 
     #[test]
     fn hyper_ai_label_and_build() {
-        let spec = CcSpec::new(ProtocolKind::Swift, Variant::Default).with_hyper_ai();
+        let hai = CcOptions::default().hyper_ai();
+        let spec = CcSpec::new(ProtocolKind::Swift, Variant::Default).with_options(hai);
         assert_eq!(spec.label(), "Swift HAI");
         let cc = spec.build(&env(), 1);
         assert_eq!(cc.name(), "Swift"); // HAI changes dynamics, not family
-        let both = CcSpec::new(ProtocolKind::Swift, Variant::VaiSf).with_hyper_ai();
+        let both = CcSpec::new(ProtocolKind::Swift, Variant::VaiSf).with_options(hai);
         assert_eq!(both.label(), "Swift VAI SF HAI");
     }
 

@@ -502,7 +502,7 @@ fn cc_from_value(v: &Value) -> Result<CcSpec, String> {
     })?;
     let mut spec = CcSpec::new(kind, variant);
     if v["hyper_ai"].as_bool() == Some(true) {
-        spec = spec.with_hyper_ai();
+        spec = spec.with_options(spec.opts.hyper_ai());
     }
     Ok(spec)
 }
@@ -910,6 +910,7 @@ mod tests {
         assert_eq!(slug("HPCC 1Gbps"), "hpcc-1gbps");
         assert_eq!(slug("Swift VAI SF"), "swift-vai-sf");
         assert_eq!(slug("incast/deg=16/cc=hpcc"), "incast-deg-16-cc-hpcc");
+        assert_eq!(slug("s=15"), "s-15");
     }
 
     #[test]

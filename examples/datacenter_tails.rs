@@ -11,7 +11,11 @@
 //! ```
 
 use fairness_repro::fairsim::scenarios::LONG_FLOW_BYTES;
-use fairness_repro::fairsim::{CcSpec, DatacenterScenario, ProtocolKind, Variant};
+use fairness_repro::fairsim::{
+    CcSpec, DatacenterScenario, ProtocolKind, RunCtx, Scenario, Variant,
+};
+
+const SEED: u64 = 42;
 
 fn main() {
     let mut summaries = Vec::new();
@@ -19,7 +23,7 @@ fn main() {
         let sc = DatacenterScenario::reduced(
             vec!["FB_Hadoop".to_string()],
             CcSpec::new(ProtocolKind::Hpcc, variant),
-            42,
+            SEED,
         );
         println!(
             "running {:?} on a {}-host fat-tree at {:.0}% load ...",
@@ -27,7 +31,7 @@ fn main() {
             sc.fat_tree.num_hosts(),
             sc.load * 100.0
         );
-        let res = sc.run();
+        let res = sc.run_with(&RunCtx::new(SEED));
         println!(
             "  {} flows offered, {} completed\n",
             res.n_flows, res.completed

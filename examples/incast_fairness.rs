@@ -12,7 +12,9 @@
 //! cargo run --release --example incast_fairness
 //! ```
 
-use fairness_repro::fairsim::{CcSpec, IncastScenario, ProtocolKind, Variant};
+use fairness_repro::fairsim::{CcSpec, IncastScenario, ProtocolKind, RunCtx, Scenario, Variant};
+
+const SEED: u64 = 42;
 
 fn main() {
     println!("16-1 staggered incast (two 1MB flows join every 20us):\n");
@@ -29,7 +31,8 @@ fn main() {
 
     for kind in [ProtocolKind::Hpcc, ProtocolKind::Swift] {
         for variant in [Variant::Default, Variant::VaiSf] {
-            let res = IncastScenario::paper(16, CcSpec::new(kind, variant), 42).run();
+            let res = IncastScenario::paper(16, CcSpec::new(kind, variant), SEED)
+                .run_with(&RunCtx::new(SEED));
             assert!(res.all_finished, "incast must drain");
             println!(
                 "{:<22} {:>16} {:>12.0} {:>12.1} {:>12.1} {:>18.0}",

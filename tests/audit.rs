@@ -17,7 +17,9 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use fairness_repro::dcsim::{Bytes, DetRng, EventQueue, Nanos, Scheduler, TimingWheel};
 use fairness_repro::faircc::{VaiConfig, VariableAi};
-use fairness_repro::fairsim::{CcSpec, IncastScenario, ProtocolKind, SchedulerKind, Variant};
+use fairness_repro::fairsim::{
+    CcSpec, IncastScenario, ProtocolKind, RunCtx, Scenario, SchedulerKind, Variant,
+};
 use fairness_repro::netsim::packet::{PacketKind, PacketPool};
 use fairness_repro::netsim::pfc::PauseCounter;
 use fairness_repro::netsim::port::Port;
@@ -189,9 +191,8 @@ fn clean_scenario_runs_silently_under_audit() {
             seed: 23,
             sample_interval: Nanos::from_micros(5),
             horizon: Nanos::from_millis(20),
-            scheduler,
         }
-        .run();
+        .run_with(&RunCtx::new(23).with_scheduler(scheduler));
         assert!(res.all_finished, "{scheduler:?} stalled under audit");
         assert_eq!(res.fcts.len(), 4);
     }

@@ -3,7 +3,9 @@
 //! version of the Figures 10-13 pipeline).
 
 use fairness_repro::dcsim::Nanos;
-use fairness_repro::fairsim::{CcSpec, DatacenterScenario, ProtocolKind, SchedulerKind, Variant};
+use fairness_repro::fairsim::{
+    CcSpec, DatacenterScenario, ProtocolKind, RunCtx, Scenario, Variant,
+};
 use fairness_repro::netsim::FatTreeConfig;
 
 fn tiny(cc: CcSpec, workload: &str, seed: u64) -> fairness_repro::fairsim::DatacenterResult {
@@ -21,9 +23,8 @@ fn tiny(cc: CcSpec, workload: &str, seed: u64) -> fairness_repro::fairsim::Datac
         horizon: Nanos::from_micros(400),
         cc,
         seed,
-        scheduler: SchedulerKind::default(),
     }
-    .run()
+    .run_with(&RunCtx::new(seed))
 }
 
 #[test]

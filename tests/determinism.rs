@@ -5,11 +5,14 @@
 use fairness_repro::dcsim::{
     BitRate, Bytes, EventQueue, Nanos, Scheduler, SchedulerKind, Simulation, TimingWheel,
 };
-use fairness_repro::fairsim::{CcSpec, IncastScenario, NetEnv, ProtocolKind, Variant};
+use fairness_repro::fairsim::{
+    CcSpec, IncastScenario, NetEnv, ProtocolKind, RunCtx, Scenario, Variant,
+};
 use fairness_repro::netsim::{self, FlowSpec, MonitorConfig, NetBuilder, NetConfig};
 
 fn fingerprint(kind: ProtocolKind, variant: Variant, seed: u64) -> Vec<(u32, u64)> {
-    let res = IncastScenario::paper(16, CcSpec::new(kind, variant), seed).run();
+    let res =
+        IncastScenario::paper(16, CcSpec::new(kind, variant), seed).run_with(&RunCtx::new(seed));
     res.fcts
         .iter()
         .map(|r| (r.flow.0, r.finish.as_u64()))
@@ -89,9 +92,8 @@ struct Golden {
 }
 
 fn incast_golden_variant(scheduler: SchedulerKind, variant: Variant, seed: u64) -> Golden {
-    let sc = IncastScenario::paper(16, CcSpec::new(ProtocolKind::Hpcc, variant), seed)
-        .with_scheduler(scheduler);
-    let res = sc.run();
+    let res = IncastScenario::paper(16, CcSpec::new(ProtocolKind::Hpcc, variant), seed)
+        .run_with(&RunCtx::new(seed).with_scheduler(scheduler));
     assert!(res.all_finished, "incast must drain");
     let fcts: Vec<(u32, u64, u64)> = res
         .fcts

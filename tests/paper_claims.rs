@@ -5,10 +5,10 @@
 //! each asserts a *direction* the paper reports (who wins), never an
 //! absolute number.
 
-use fairness_repro::fairsim::{CcSpec, IncastScenario, ProtocolKind, Variant};
+use fairness_repro::fairsim::{CcSpec, IncastScenario, ProtocolKind, RunCtx, Scenario, Variant};
 
 fn run(kind: ProtocolKind, variant: Variant) -> fairness_repro::fairsim::IncastResult {
-    let res = IncastScenario::paper(16, CcSpec::new(kind, variant), 42).run();
+    let res = IncastScenario::paper(16, CcSpec::new(kind, variant), 42).run_with(&RunCtx::new(42));
     assert!(res.all_finished, "{:?}/{:?} did not drain", kind, variant);
     res
 }
@@ -136,7 +136,8 @@ fn hpcc_vai_sf_keeps_small_queues() {
 #[test]
 fn incast_96_1_with_vai_sf_converges_and_drains() {
     for kind in [ProtocolKind::Hpcc, ProtocolKind::Swift] {
-        let res = IncastScenario::paper(96, CcSpec::new(kind, Variant::VaiSf), 42).run();
+        let res = IncastScenario::paper(96, CcSpec::new(kind, Variant::VaiSf), 42)
+            .run_with(&RunCtx::new(42));
         assert!(res.all_finished, "{kind:?} 96-1 did not drain");
         assert_eq!(res.fcts.len(), 96);
         assert!(

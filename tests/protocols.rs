@@ -3,8 +3,12 @@
 //! sane dynamics.
 
 use fairness_repro::dcsim::{Bytes, Nanos};
-use fairness_repro::fairsim::{CcSpec, IncastScenario, ProtocolKind, SchedulerKind, Variant};
+use fairness_repro::fairsim::{
+    CcSpec, IncastResult, IncastScenario, ProtocolKind, RunCtx, Scenario, Variant,
+};
 use fairness_repro::workloads::IncastConfig;
+
+const SEED: u64 = 17;
 
 fn scenario(kind: ProtocolKind, variant: Variant) -> IncastScenario {
     IncastScenario {
@@ -15,11 +19,14 @@ fn scenario(kind: ProtocolKind, variant: Variant) -> IncastScenario {
             interval: Nanos::from_micros(20),
         },
         cc: CcSpec::new(kind, variant),
-        seed: 17,
+        seed: SEED,
         sample_interval: Nanos::from_micros(5),
         horizon: Nanos::from_millis(30),
-        scheduler: SchedulerKind::default(),
     }
+}
+
+fn run(sc: &IncastScenario) -> IncastResult {
+    sc.run_with(&RunCtx::new(SEED))
 }
 
 #[test]
@@ -33,7 +40,7 @@ fn every_protocol_variant_completes_the_incast() {
             Variant::Sf,
             Variant::VaiSf,
         ] {
-            let res = scenario(kind, variant).run();
+            let res = run(&scenario(kind, variant));
             assert!(res.all_finished, "{kind:?}/{variant:?} stalled");
             assert_eq!(res.fcts.len(), 8);
             // Goodput sanity: total bytes over total time within 2x of
@@ -61,16 +68,16 @@ fn every_protocol_variant_completes_the_incast() {
 fn timely_completes_the_incast() {
     // Timely (RTT-gradient, rate-based) queues heavily under line-rate
     // incast joins — its known weakness — but must still drain.
-    let res = scenario(ProtocolKind::Timely, Variant::Default).run();
+    let res = run(&scenario(ProtocolKind::Timely, Variant::Default));
     assert!(res.all_finished);
     assert_eq!(res.fcts.len(), 8);
-    let vai_sf = scenario(ProtocolKind::Timely, Variant::VaiSf).run();
+    let vai_sf = run(&scenario(ProtocolKind::Timely, Variant::VaiSf));
     assert!(vai_sf.all_finished);
 }
 
 #[test]
 fn dcqcn_baseline_completes_with_red_marking() {
-    let res = scenario(ProtocolKind::Dcqcn, Variant::Default).run();
+    let res = run(&scenario(ProtocolKind::Dcqcn, Variant::Default));
     assert!(res.all_finished);
     assert_eq!(res.fcts.len(), 8);
 }
@@ -87,7 +94,7 @@ fn queues_stay_bounded_for_all_variants() {
         (ProtocolKind::Swift, 500_000),
         (ProtocolKind::Dcqcn, 8_000_000),
     ] {
-        let res = scenario(kind, Variant::Default).run();
+        let res = run(&scenario(kind, Variant::Default));
         assert!(
             res.peak_queue() < budget,
             "{kind:?} peak queue {} above budget {budget}",
@@ -99,11 +106,11 @@ fn queues_stay_bounded_for_all_variants() {
 #[test]
 fn fcts_scale_with_incast_degree() {
     // 16 senders into one link take ~2x as long as 8 senders.
-    let small = scenario(ProtocolKind::Hpcc, Variant::Default).run();
+    let small = run(&scenario(ProtocolKind::Hpcc, Variant::Default));
     let mut big_cfg = scenario(ProtocolKind::Hpcc, Variant::Default);
     big_cfg.incast.senders = 16;
-    let big = big_cfg.run();
-    let last = |r: &fairness_repro::fairsim::IncastResult| {
+    let big = run(&big_cfg);
+    let last = |r: &IncastResult| {
         r.fcts
             .iter()
             .map(|x| x.finish.as_micros_f64())
@@ -121,7 +128,7 @@ fn flows_share_within_protocol_family_reasonably() {
     // At the end of a long overlap phase, per-flow FCTs of the first two
     // (simultaneously started) flows should be close for every protocol.
     for kind in [ProtocolKind::Hpcc, ProtocolKind::Swift, ProtocolKind::Dcqcn] {
-        let res = scenario(kind, Variant::Default).run();
+        let res = run(&scenario(kind, Variant::Default));
         let f0 = res
             .fcts
             .iter()
