@@ -247,7 +247,7 @@ mod tests {
     #[test]
     fn first_cnp_halves_the_rate() {
         let mut d = dcqcn();
-        d.on_cnp(Nanos(0));
+        d.on_cnp(Nanos::from_ns(0));
         // α = 1 ⇒ Rc ← Rc/2; Rt keeps the old rate.
         assert_eq!(d.rate(), 50e9);
         assert_eq!(d.target_rate(), 100e9);
@@ -258,7 +258,7 @@ mod tests {
     #[test]
     fn alpha_decays_without_cnps() {
         let mut d = dcqcn();
-        let mut now = Nanos(0);
+        let mut now = Nanos::from_ns(0);
         for _ in 0..100 {
             now = d.next_timer().expect("DCQCN always arms its rate timer");
             d.on_timer(now);
@@ -273,7 +273,7 @@ mod tests {
     #[test]
     fn fast_recovery_climbs_halfway_back() {
         let mut d = dcqcn();
-        d.on_cnp(Nanos(0)); // Rc=50G, Rt=100G
+        d.on_cnp(Nanos::from_ns(0)); // Rc=50G, Rt=100G
         d.on_timer(
             d.next_timer()
                 .expect("DCQCN always arms its rate timer")
@@ -286,9 +286,9 @@ mod tests {
     #[test]
     fn additive_phase_raises_target() {
         let mut d = dcqcn();
-        d.on_cnp(Nanos(0));
+        d.on_cnp(Nanos::from_ns(0));
         // Drive rate-timer events past fast recovery (F = 5).
-        let mut now = Nanos(0);
+        let mut now = Nanos::from_ns(0);
         for _ in 0..7 {
             now += d.cfg.rate_timer;
             d.rate_due = now; // force the rate timer only
@@ -303,11 +303,11 @@ mod tests {
     #[test]
     fn byte_counter_triggers_increases() {
         let mut d = dcqcn();
-        d.on_cnp(Nanos(0));
+        d.on_cnp(Nanos::from_ns(0));
         let before = d.rate();
         // 10 MB of sends = one byte-counter iteration.
         for _ in 0..10 {
-            d.on_send(Nanos(0), Bytes::from_mb(1));
+            d.on_send(Nanos::from_ns(0), Bytes::from_mb(1));
         }
         assert!(d.rate() > before, "byte counter should trigger recovery");
     }
@@ -317,11 +317,11 @@ mod tests {
         let mut d = dcqcn();
         // Hammer with CNPs.
         for i in 0..200 {
-            d.on_cnp(Nanos(i * 1000));
+            d.on_cnp(Nanos::from_ns(i * 1000));
         }
         assert!(d.rate() >= d.cfg.min_rate.as_f64());
         // Then recover for a long time.
-        let mut now = Nanos(1_000_000);
+        let mut now = Nanos::from_ns(1_000_000);
         for _ in 0..30_000 {
             now = d
                 .next_timer()
@@ -341,7 +341,7 @@ mod tests {
         let mut d = dcqcn();
         // With CNPs every tick, alpha stays 1 and rate hits the floor.
         for i in 0..100 {
-            d.on_cnp(Nanos(i * 50_000));
+            d.on_cnp(Nanos::from_ns(i * 50_000));
         }
         assert_eq!(d.rate(), d.cfg.min_rate.as_f64());
     }
@@ -349,8 +349,8 @@ mod tests {
     #[test]
     fn increase_state_resets_on_cnp() {
         let mut d = dcqcn();
-        d.on_cnp(Nanos(0));
-        let mut now = Nanos(0);
+        d.on_cnp(Nanos::from_ns(0));
+        let mut now = Nanos::from_ns(0);
         for _ in 0..7 {
             now += d.cfg.rate_timer;
             d.rate_due = now;

@@ -364,13 +364,13 @@ impl CongestionControl for Hpcc {
 mod tests {
     use super::*;
 
-    const RTT: Nanos = Nanos(4_000);
-    const LINE: BitRate = BitRate(100_000_000_000);
+    const RTT: Nanos = Nanos::from_ns(4_000);
+    const LINE: BitRate = BitRate::from_bps(100_000_000_000);
 
     fn mkint(qlen: u64, tx_bytes: u64, ts: Nanos) -> IntStack {
         let mut s = IntStack::new();
         s.push(IntHop {
-            qlen: Bytes(qlen),
+            qlen: Bytes::new(qlen),
             tx_bytes,
             ts,
             rate: LINE,
@@ -385,7 +385,7 @@ mod tests {
             rtt: RTT,
             ecn: false,
             int: mkint(qlen, tx, ts),
-            acked: Bytes(1000),
+            acked: Bytes::new(1000),
             hops: 1,
         }
     }
@@ -420,10 +420,10 @@ mod tests {
         h.w_ref = 10_000.0;
         h.window = 10_000.0;
         let mut seq = 0u64;
-        let mut t = Nanos(0);
+        let mut t = Nanos::from_ns(0);
         for _ in 0..20 {
-            h.on_send(t, Bytes(1000));
-            t += Nanos(4_000);
+            h.on_send(t, Bytes::new(1000));
+            t += Nanos::from_ns(4_000);
             let tx = seq; // tx counter grows at ~2 Gbps equivalent
             let a = ack(&mut seq, 0, tx, t);
             h.on_ack(&a);
@@ -439,8 +439,8 @@ mod tests {
         h.u = 0.5;
         h.w_ref = 20_000.0;
         h.window = 20_000.0;
-        h.on_send(t, Bytes(1000));
-        t += Nanos(4_000);
+        h.on_send(t, Bytes::new(1000));
+        t += Nanos::from_ns(4_000);
         let tx = seq;
         let a = ack(&mut seq, 0, tx, t);
         h.on_ack(&a);
@@ -458,20 +458,20 @@ mod tests {
     #[test]
     fn overload_decreases_window() {
         let mut h = hpcc(HpccConfig::paper_default(RTT, LINE));
-        let mut t = Nanos(0);
+        let mut t = Nanos::from_ns(0);
         let mut tx = 0u64;
         let w0 = h.window();
         // Full-rate hop with a standing 100 KB queue: U ≈ 1 + q/(B·T) ≈ 3.
         for i in 0..40 {
-            h.on_send(t, Bytes(1000));
-            t += Nanos(400);
+            h.on_send(t, Bytes::new(1000));
+            t += Nanos::from_ns(400);
             tx += 5000; // 5000 B / 400 ns = 100 Gbps
             let a = AckFeedback {
                 now: t,
-                rtt: RTT + Nanos(8_000),
+                rtt: RTT + Nanos::from_ns(8_000),
                 ecn: false,
                 int: mkint(100_000, tx, t),
-                acked: Bytes(1000),
+                acked: Bytes::new(1000),
                 hops: 1,
             };
             h.on_ack(&a);
@@ -486,18 +486,18 @@ mod tests {
     #[test]
     fn window_never_exceeds_bdp_or_floor() {
         let mut h = hpcc(HpccConfig::high_ai(RTT, LINE));
-        let mut t = Nanos(0);
+        let mut t = Nanos::from_ns(0);
         let mut tx = 0u64;
         for _ in 0..2000 {
-            h.on_send(t, Bytes(1000));
-            t += Nanos(80);
+            h.on_send(t, Bytes::new(1000));
+            t += Nanos::from_ns(80);
             tx += 1000;
             let a = AckFeedback {
                 now: t,
                 rtt: RTT,
                 ecn: false,
                 int: mkint(0, tx, t),
-                acked: Bytes(1000),
+                acked: Bytes::new(1000),
                 hops: 1,
             };
             h.on_ack(&a);
@@ -515,21 +515,21 @@ mod tests {
             ..HpccConfig::paper_default(RTT, LINE)
         };
         let mut h = hpcc(cfg);
-        let mut t = Nanos(0);
+        let mut t = Nanos::from_ns(0);
         let mut tx = 0u64;
         let mut ref_updates = 0u32;
         let mut last_ref = h.w_ref();
         // Constant overload; no RTT boundary would fire for a long time if
         // we never advance snd_nxt, so SF must drive the decreases.
         for _ in 0..25 {
-            t += Nanos(400);
+            t += Nanos::from_ns(400);
             tx += 5000;
             let a = AckFeedback {
                 now: t,
-                rtt: RTT + Nanos(8000),
+                rtt: RTT + Nanos::from_ns(8000),
                 ecn: false,
                 int: mkint(100_000, tx, t),
-                acked: Bytes(1000),
+                acked: Bytes::new(1000),
                 hops: 1,
             };
             h.on_ack(&a);
@@ -544,22 +544,22 @@ mod tests {
 
     #[test]
     fn vai_raises_ai_under_congestion() {
-        let min_bdp = Bytes(50_000);
+        let min_bdp = Bytes::new(50_000);
         let cfg = HpccConfig::vai_sf(RTT, LINE, min_bdp);
         let mut h = hpcc(cfg);
-        let mut t = Nanos(0);
+        let mut t = Nanos::from_ns(0);
         let mut tx = 0u64;
         // Heavy congestion (q = 150 KB > Token_Thresh) across one RTT.
         for _ in 0..10 {
-            h.on_send(t, Bytes(1000));
-            t += Nanos(400);
+            h.on_send(t, Bytes::new(1000));
+            t += Nanos::from_ns(400);
             tx += 5000;
             let a = AckFeedback {
                 now: t,
-                rtt: RTT + Nanos(12_000),
+                rtt: RTT + Nanos::from_ns(12_000),
                 ecn: false,
                 int: mkint(150_000, tx, t),
-                acked: Bytes(1000),
+                acked: Bytes::new(1000),
                 hops: 1,
             };
             h.on_ack(&a);
@@ -580,20 +580,20 @@ mod tests {
         h.w_ref = 500.0; // 1% of max window
         h.window = 500.0;
         let mut skipped = 0;
-        let mut t = Nanos(0);
+        let mut t = Nanos::from_ns(0);
         let mut tx = 0u64;
         for _ in 0..200 {
             // Force an RTT boundary each ACK.
-            h.on_send(t, Bytes(1000));
-            t += Nanos(4000);
+            h.on_send(t, Bytes::new(1000));
+            t += Nanos::from_ns(4000);
             tx += 50_000;
             let before = h.w_ref();
             let a = AckFeedback {
                 now: t,
-                rtt: RTT + Nanos(8000),
+                rtt: RTT + Nanos::from_ns(8000),
                 ecn: false,
                 int: mkint(100_000, tx, t),
-                acked: Bytes(1000),
+                acked: Bytes::new(1000),
                 hops: 1,
             };
             h.on_ack(&a);
@@ -630,19 +630,19 @@ mod tests {
             for case in 0..64u64 {
                 let mut rng = DetRng::new(0x4a11 + case);
                 let acks = arb_acks(&mut rng, 300);
-                let mut h = hpcc(HpccConfig::vai_sf(RTT, LINE, Bytes(50_000)));
-                let mut t = Nanos(0);
+                let mut h = hpcc(HpccConfig::vai_sf(RTT, LINE, Bytes::new(50_000)));
+                let mut t = Nanos::from_ns(0);
                 let mut tx = 0u64;
                 for (qlen, dtx, dt) in acks {
-                    h.on_send(t, Bytes(1000));
-                    t += Nanos(dt);
+                    h.on_send(t, Bytes::new(1000));
+                    t += Nanos::from_ns(dt);
                     tx += dtx;
                     let a = AckFeedback {
                         now: t,
-                        rtt: RTT + Nanos(qlen / 12), // delay grows with queue
+                        rtt: RTT + Nanos::from_ns(qlen / 12), // delay grows with queue
                         ecn: false,
                         int: mkint(qlen, tx, t),
-                        acked: Bytes(1000),
+                        acked: Bytes::new(1000),
                         hops: 1,
                     };
                     h.on_ack(&a);
@@ -667,18 +667,18 @@ mod tests {
                 let acks = arb_acks(&mut rng, 100);
                 let run = |seed: u64| {
                     let mut h = Hpcc::new(HpccConfig::probabilistic(RTT, LINE), DetRng::new(seed));
-                    let mut t = Nanos(0);
+                    let mut t = Nanos::from_ns(0);
                     let mut tx = 0u64;
                     for (qlen, dtx, dt) in &acks {
-                        h.on_send(t, Bytes(1000));
-                        t += Nanos(*dt);
+                        h.on_send(t, Bytes::new(1000));
+                        t += Nanos::from_ns(*dt);
                         tx += dtx;
                         h.on_ack(&AckFeedback {
                             now: t,
                             rtt: RTT,
                             ecn: false,
                             int: mkint(*qlen, tx, t),
-                            acked: Bytes(1000),
+                            acked: Bytes::new(1000),
                             hops: 1,
                         });
                     }
@@ -702,20 +702,20 @@ mod tests {
         h.w_ref = 10_000.0;
         h.window = 10_000.0;
         h.u = 0.1; // deeply underutilized: pure increase branch
-        let mut t = Nanos(0);
+        let mut t = Nanos::from_ns(0);
         let mut tx = 0u64;
         let mut commits = 0;
         let mut last_ref = h.w_ref();
         // No on_send: RTT boundaries never fire; only SF can commit.
         for _ in 0..12 {
-            t += Nanos(400);
+            t += Nanos::from_ns(400);
             tx += 100; // trickle: keeps u low
             let a = AckFeedback {
                 now: t,
                 rtt: RTT,
                 ecn: false,
                 int: mkint(0, tx, t),
-                acked: Bytes(1000),
+                acked: Bytes::new(1000),
                 hops: 1,
             };
             h.on_ack(&a);
@@ -735,7 +735,7 @@ mod tests {
             "HPCC Probabilistic"
         );
         assert_eq!(
-            hpcc(HpccConfig::vai_sf(RTT, LINE, Bytes(50_000))).name(),
+            hpcc(HpccConfig::vai_sf(RTT, LINE, Bytes::new(50_000))).name(),
             "HPCC VAI SF"
         );
     }

@@ -447,8 +447,8 @@ mod tests {
     use super::*;
     use dcsim::Bytes;
 
-    const RTT: Nanos = Nanos(5_000);
-    const LINE: BitRate = BitRate(100_000_000_000);
+    const RTT: Nanos = Nanos::from_ns(5_000);
+    const LINE: BitRate = BitRate::from_bps(100_000_000_000);
 
     fn swift(cfg: SwiftConfig) -> Swift {
         Swift::new(cfg, DetRng::new(3))
@@ -460,7 +460,7 @@ mod tests {
             rtt,
             ecn: false,
             int: Default::default(),
-            acked: Bytes(1000),
+            acked: Bytes::new(1000),
             hops: 1,
         }
     }
@@ -485,11 +485,11 @@ mod tests {
         s.cwnd = 10.0;
         s.ref_cwnd = 10.0;
         let before = s.cwnd();
-        let mut now = Nanos(0);
+        let mut now = Nanos::from_ns(0);
         // 10 ACKs (one cwnd's worth = one RTT of ACKs) below target.
         for _ in 0..10 {
-            now += Nanos(500);
-            s.on_ack(&ack(now, Nanos(4_000))); // below 5+2 us target
+            now += Nanos::from_ns(500);
+            s.on_ack(&ack(now, Nanos::from_ns(4_000))); // below 5+2 us target
         }
         let growth = s.cwnd() - before;
         // ~ai per RTT: 10 acks * ai/cwnd each ≈ 0.03 packets total.
@@ -506,7 +506,7 @@ mod tests {
         let mut s = swift(SwiftConfig::paper_default(RTT, LINE, 50.0));
         s.cwnd = 0.5;
         s.ref_cwnd = 0.5;
-        s.on_ack(&ack(Nanos(1000), Nanos(4_000)));
+        s.on_ack(&ack(Nanos::from_ns(1000), Nanos::from_ns(4_000)));
         assert!((s.cwnd() - 0.5 - s.cfg.ai_pkts).abs() < 1e-9);
     }
 
@@ -517,7 +517,7 @@ mod tests {
         s.ref_cwnd = 40.0;
         s.last_rtt = RTT;
         // Enormous delay: raw mdf would be ~1-0.8 = 0.2, floor is 0.5.
-        s.on_ack(&ack(Nanos(100_000), Nanos(500_000)));
+        s.on_ack(&ack(Nanos::from_ns(100_000), Nanos::from_ns(500_000)));
         assert!((s.cwnd() - 20.0).abs() < 1.0, "cwnd {}", s.cwnd());
     }
 
@@ -531,7 +531,7 @@ mod tests {
         s.cwnd = 40.0;
         s.ref_cwnd = 40.0;
         s.last_rtt = RTT;
-        s.on_ack(&ack(Nanos(100_000), Nanos(8_000)));
+        s.on_ack(&ack(Nanos::from_ns(100_000), Nanos::from_ns(8_000)));
         assert!((s.cwnd() - 36.0).abs() < 0.01, "cwnd {}", s.cwnd());
     }
 
@@ -544,15 +544,21 @@ mod tests {
         s.cwnd = 40.0;
         s.ref_cwnd = 40.0;
         s.last_rtt = RTT;
-        s.on_ack(&ack(Nanos(100_000), Nanos(8_000)));
+        s.on_ack(&ack(Nanos::from_ns(100_000), Nanos::from_ns(8_000)));
         let after_first = s.cwnd();
         // More congested ACKs inside the same RTT: no further decrease.
         for i in 1..5 {
-            s.on_ack(&ack(Nanos(100_000 + i * 500), Nanos(8_000)));
+            s.on_ack(&ack(
+                Nanos::from_ns(100_000 + i * 500),
+                Nanos::from_ns(8_000),
+            ));
         }
         assert_eq!(s.cwnd(), after_first);
         // After a full RTT, the next congested ACK decreases again.
-        s.on_ack(&ack(Nanos(100_000) + RTT + Nanos(8_000), Nanos(8_000)));
+        s.on_ack(&ack(
+            Nanos::from_ns(100_000) + RTT + Nanos::from_ns(8_000),
+            Nanos::from_ns(8_000),
+        ));
         assert!(s.cwnd() < after_first);
     }
 
@@ -569,12 +575,12 @@ mod tests {
         s.ref_cwnd = 40.0;
         s.last_rtt = RTT;
         // delay 14us vs 7us target: mdf = 1-0.8*0.5 = 0.6.
-        let mut now = Nanos(0);
+        let mut now = Nanos::from_ns(0);
         let mut commits = 0;
         let mut last_ref = s.ref_cwnd();
         for _ in 0..8 {
-            now += Nanos(100);
-            s.on_ack(&ack(now, Nanos(14_000)));
+            now += Nanos::from_ns(100);
+            s.on_ack(&ack(now, Nanos::from_ns(14_000)));
             // Between commits, cwnd is ref*mdf but ref is unchanged.
             if (s.ref_cwnd() - last_ref).abs() > 1e-12 {
                 commits += 1;
@@ -612,7 +618,7 @@ mod tests {
             assert!(t <= last, "FBS term must not increase with cwnd");
             last = t;
         }
-        assert_eq!(fbs.term(50.0), Nanos(0));
+        assert_eq!(fbs.term(50.0), Nanos::from_ns(0));
         assert_eq!(fbs.term(0.1), fbs.range);
     }
 
@@ -644,8 +650,8 @@ mod tests {
             s.ref_cwnd = 40.0;
             s.last_rtt = RTT;
         }
-        with.on_ack(&ack(Nanos(100_000), Nanos(8_000)));
-        without.on_ack(&ack(Nanos(100_000), Nanos(8_000)));
+        with.on_ack(&ack(Nanos::from_ns(100_000), Nanos::from_ns(8_000)));
+        without.on_ack(&ack(Nanos::from_ns(100_000), Nanos::from_ns(8_000)));
         assert!((with.cwnd() - (without.cwnd() + 2.0)).abs() < 1e-9);
     }
 
@@ -653,11 +659,11 @@ mod tests {
     fn vai_sf_variant_mints_tokens_under_heavy_delay() {
         let mut s = swift(SwiftConfig::vai_sf(RTT, LINE, 1));
         s.last_rtt = RTT;
-        let mut now = Nanos(0);
+        let mut now = Nanos::from_ns(0);
         // Sustained 20 us delays (well past target 7us + 4us BDP delay).
         for _ in 0..50 {
-            now += Nanos(5_000);
-            s.on_ack(&ack(now, Nanos(20_000)));
+            now += Nanos::from_ns(5_000);
+            s.on_ack(&ack(now, Nanos::from_ns(20_000)));
         }
         assert!(
             s.vai
@@ -676,7 +682,7 @@ mod tests {
             ..SwiftConfig::paper_default(RTT, LINE, 50.0)
         });
         for i in 0..100 {
-            s.on_ack(&ack(Nanos(i * 100), Nanos(1_000)));
+            s.on_ack(&ack(Nanos::from_ns(i * 100), Nanos::from_ns(1_000)));
             assert!(s.cwnd() <= s.cfg.max_cwnd_pkts() + 1e-9);
         }
     }
@@ -707,12 +713,12 @@ mod tests {
         let mut stock = mk(None);
         let mut hai = mk(Some(HyperAiConfig::timely_default()));
         // 40 quiet RTTs' worth of ACKs (5 ACKs each, cwnd 5).
-        let mut now = Nanos(0);
+        let mut now = Nanos::from_ns(0);
         for _ in 0..40 {
             for _ in 0..5 {
-                now += Nanos(1_000);
-                stock.on_ack(&ack(now, Nanos(4_000)));
-                hai.on_ack(&ack(now, Nanos(4_000)));
+                now += Nanos::from_ns(1_000);
+                stock.on_ack(&ack(now, Nanos::from_ns(4_000)));
+                hai.on_ack(&ack(now, Nanos::from_ns(4_000)));
             }
         }
         assert!(hai.clear_rtts() > 5, "streak {}", hai.clear_rtts());
@@ -734,19 +740,19 @@ mod tests {
         s.cwnd = 5.0;
         s.ref_cwnd = 5.0;
         s.last_rtt = RTT;
-        let mut now = Nanos(0);
+        let mut now = Nanos::from_ns(0);
         for _ in 0..40 {
-            now += Nanos(1_000);
-            s.on_ack(&ack(now, Nanos(4_000)));
+            now += Nanos::from_ns(1_000);
+            s.on_ack(&ack(now, Nanos::from_ns(4_000)));
         }
         assert!(s.clear_rtts() > 0);
         // One congested ACK inside the next RTT kills the streak at the
         // next boundary. (The congested ACK inflates the RTT estimate to
         // 20 us, so the next boundary needs a 20 us gap.)
-        now += Nanos(1_000);
-        s.on_ack(&ack(now, Nanos(20_000)));
-        now += Nanos(25_000);
-        s.on_ack(&ack(now, Nanos(4_000)));
+        now += Nanos::from_ns(1_000);
+        s.on_ack(&ack(now, Nanos::from_ns(20_000)));
+        now += Nanos::from_ns(25_000);
+        s.on_ack(&ack(now, Nanos::from_ns(4_000)));
         assert_eq!(s.clear_rtts(), 0);
     }
 
@@ -763,11 +769,11 @@ mod tests {
                 let mut rng = DetRng::new(0x5u64 * 0x1000 + case);
                 let n = 1 + rng.below(299);
                 let mut s = swift(SwiftConfig::vai_sf(RTT, LINE, 1));
-                let mut now = Nanos(0);
+                let mut now = Nanos::from_ns(0);
                 for _ in 0..n {
                     let d = 1_000 + rng.below(199_000);
-                    now += Nanos(700);
-                    s.on_ack(&ack(now, Nanos(d)));
+                    now += Nanos::from_ns(700);
+                    s.on_ack(&ack(now, Nanos::from_ns(d)));
                     assert!(s.cwnd().is_finite(), "case {case}");
                     assert!(s.cwnd() >= 0.001 - 1e-12, "case {case}");
                     assert!(s.cwnd() <= s.cfg.max_cwnd_pkts() + 1e-9, "case {case}");
@@ -792,7 +798,10 @@ mod tests {
                 s.cwnd = cwnd0;
                 s.ref_cwnd = cwnd0;
                 s.last_rtt = RTT;
-                s.on_ack(&ack(Nanos(1_000_000), Nanos::from_micros(delay_us)));
+                s.on_ack(&ack(
+                    Nanos::from_ns(1_000_000),
+                    Nanos::from_micros(delay_us),
+                ));
                 assert!(
                     s.cwnd() >= cwnd0 * s.cfg.max_mdf - 1e-9,
                     "case {case}: cwnd {} below floor of {}",

@@ -291,14 +291,14 @@ mod tests {
     use super::*;
     use dcsim::Bytes;
 
-    const BASE: Nanos = Nanos(4_000);
+    const BASE: Nanos = Nanos::from_ns(4_000);
 
     fn timely() -> Timely {
         Timely::new(TimelyConfig::default_100g(BASE))
     }
 
     fn ack(now: Nanos, rtt: Nanos) -> AckFeedback {
-        AckFeedback::rtt_only(now, rtt, Bytes(1000))
+        AckFeedback::rtt_only(now, rtt, Bytes::new(1000))
     }
 
     #[test]
@@ -313,10 +313,10 @@ mod tests {
     fn low_rtt_increases_additively() {
         let mut t = timely();
         t.rate = 10e9;
-        let mut now = Nanos(0);
+        let mut now = Nanos::from_ns(0);
         for _ in 0..4 {
-            now += Nanos(1000);
-            t.on_ack(&ack(now, Nanos(4_500))); // below T_low = 6 us
+            now += Nanos::from_ns(1000);
+            t.on_ack(&ack(now, Nanos::from_ns(4_500))); // below T_low = 6 us
         }
         // 4 increments of delta (50 Mbps) before the HAI streak engages.
         assert!((t.rate() - (10e9 + 4.0 * 50e6)).abs() < 1.0, "{}", t.rate());
@@ -327,20 +327,20 @@ mod tests {
         let mut t = timely();
         t.last_rtt = BASE;
         // 28 us >> T_high = 14 us: rate ×= 1 − 0.8·(1 − 14/28) = 0.6.
-        t.on_ack(&ack(Nanos(100_000), Nanos(28_000)));
+        t.on_ack(&ack(Nanos::from_ns(100_000), Nanos::from_ns(28_000)));
         assert!((t.rate() - 60e9).abs() < 1e6, "{}", t.rate());
     }
 
     #[test]
     fn decrease_gated_once_per_min_rtt() {
         let mut t = timely();
-        t.on_ack(&ack(Nanos(100_000), Nanos(28_000)));
+        t.on_ack(&ack(Nanos::from_ns(100_000), Nanos::from_ns(28_000)));
         let after_first = t.rate();
         // Same congestion, 1 us later (inside one min-RTT): no change.
-        t.on_ack(&ack(Nanos(101_000), Nanos(28_000)));
+        t.on_ack(&ack(Nanos::from_ns(101_000), Nanos::from_ns(28_000)));
         assert_eq!(t.rate(), after_first);
         // After a full min-RTT: decreases again.
-        t.on_ack(&ack(Nanos(104_100), Nanos(28_000)));
+        t.on_ack(&ack(Nanos::from_ns(104_100), Nanos::from_ns(28_000)));
         assert!(t.rate() < after_first);
     }
 
@@ -348,10 +348,10 @@ mod tests {
     fn negative_gradient_in_band_increases() {
         let mut t = timely();
         t.rate = 10e9;
-        let mut now = Nanos(0);
+        let mut now = Nanos::from_ns(0);
         // RTTs in (T_low, T_high) but falling: gradient < 0.
         for (i, rtt_us) in [9.0f64, 8.5, 8.0, 7.5, 7.0].iter().enumerate() {
-            now += Nanos(1000 * (i as u64 + 1));
+            now += Nanos::from_ns(1000 * (i as u64 + 1));
             t.on_ack(&ack(now, Nanos::from_ns_f64(*rtt_us * 1000.0)));
         }
         assert!(t.gradient() < 0.0);
@@ -362,10 +362,10 @@ mod tests {
     fn positive_gradient_in_band_decreases() {
         let mut t = timely();
         t.last_rtt = BASE;
-        let mut now = Nanos(0);
+        let mut now = Nanos::from_ns(0);
         // Rising RTTs inside the band.
         for rtt_us in [7.0f64, 8.0, 9.0, 10.0, 11.0] {
-            now += Nanos(10_000);
+            now += Nanos::from_ns(10_000);
             t.on_ack(&ack(now, Nanos::from_ns_f64(rtt_us * 1000.0)));
         }
         assert!(t.gradient() > 0.0);
@@ -376,12 +376,12 @@ mod tests {
     fn hai_kicks_in_after_streak() {
         let mut t = timely();
         t.rate = 10e9;
-        let mut now = Nanos(0);
+        let mut now = Nanos::from_ns(0);
         let mut increments = Vec::new();
         for _ in 0..10 {
-            now += Nanos(1000);
+            now += Nanos::from_ns(1000);
             let before = t.rate();
-            t.on_ack(&ack(now, Nanos(4_500)));
+            t.on_ack(&ack(now, Nanos::from_ns(4_500)));
             increments.push(t.rate() - before);
         }
         // First increments are delta; after the streak they are 5x delta.
@@ -394,14 +394,14 @@ mod tests {
         let mut t = timely();
         t.rate = 10e9;
         t.last_rtt = BASE;
-        let mut now = Nanos(0);
+        let mut now = Nanos::from_ns(0);
         for _ in 0..8 {
-            now += Nanos(1000);
-            t.on_ack(&ack(now, Nanos(4_500)));
+            now += Nanos::from_ns(1000);
+            t.on_ack(&ack(now, Nanos::from_ns(4_500)));
         }
         assert!(t.good_events >= 5);
-        now += Nanos(100_000);
-        t.on_ack(&ack(now, Nanos(30_000)));
+        now += Nanos::from_ns(100_000);
+        t.on_ack(&ack(now, Nanos::from_ns(30_000)));
         assert_eq!(t.good_events, 0);
     }
 
@@ -409,15 +409,15 @@ mod tests {
     fn rate_clamped_to_floor_and_line() {
         let mut t = timely();
         t.last_rtt = BASE;
-        let mut now = Nanos(0);
+        let mut now = Nanos::from_ns(0);
         for _ in 0..200 {
-            now += Nanos(100_000);
-            t.on_ack(&ack(now, Nanos(500_000)));
+            now += Nanos::from_ns(100_000);
+            t.on_ack(&ack(now, Nanos::from_ns(500_000)));
         }
         assert!(t.rate() >= t.cfg.min_rate.as_f64());
         for _ in 0..1_000_000 {
-            now += Nanos(1000);
-            t.on_ack(&ack(now, Nanos(4_100)));
+            now += Nanos::from_ns(1000);
+            t.on_ack(&ack(now, Nanos::from_ns(4_100)));
             if t.rate() >= 100e9 {
                 break;
             }
@@ -430,11 +430,11 @@ mod tests {
         let mut t = Timely::new(TimelyConfig::with_vai_sf(BASE));
         assert_eq!(t.name(), "Timely VAI SF");
         t.last_rtt = BASE;
-        let mut now = Nanos(0);
+        let mut now = Nanos::from_ns(0);
         // Sustained 25 us delays, well above T_high + 4 us.
         for _ in 0..100 {
-            now += Nanos(4_000);
-            t.on_ack(&ack(now, Nanos(25_000)));
+            now += Nanos::from_ns(4_000);
+            t.on_ack(&ack(now, Nanos::from_ns(25_000)));
         }
         assert!(
             t.vai
@@ -454,12 +454,12 @@ mod tests {
             ..TimelyConfig::default_100g(BASE)
         });
         t.last_rtt = BASE;
-        let mut now = Nanos(0);
+        let mut now = Nanos::from_ns(0);
         let mut decreases = 0;
         let mut last = t.rate();
         for _ in 0..12 {
-            now += Nanos(100);
-            t.on_ack(&ack(now, Nanos(28_000)));
+            now += Nanos::from_ns(100);
+            t.on_ack(&ack(now, Nanos::from_ns(28_000)));
             if t.rate() < last {
                 decreases += 1;
                 last = t.rate();

@@ -26,7 +26,7 @@ impl SenderLimits {
         let pacing = if secs > 0.0 {
             BitRate::from_bps_f64(window_bytes * 8.0 / secs)
         } else {
-            BitRate(u64::MAX)
+            BitRate::from_bps(u64::MAX)
         };
         SenderLimits {
             window_bytes,
@@ -148,7 +148,7 @@ mod tests {
     #[test]
     fn windowed_with_zero_rtt_is_unthrottled() {
         let l = SenderLimits::windowed(1000.0, Nanos::ZERO);
-        assert_eq!(l.pacing, BitRate(u64::MAX));
+        assert_eq!(l.pacing, BitRate::from_bps(u64::MAX));
     }
 
     #[test]
@@ -176,10 +176,10 @@ mod tests {
     #[test]
     fn trait_defaults_are_noops() {
         let mut cc: Box<dyn CongestionControl> = Box::new(Fixed);
-        cc.on_cnp(Nanos(1));
-        cc.on_send(Nanos(1), Bytes(10));
-        cc.on_timer(Nanos(2));
-        cc.on_rto(Nanos(3));
+        cc.on_cnp(Nanos::from_ns(1));
+        cc.on_send(Nanos::from_ns(1), Bytes::new(10));
+        cc.on_timer(Nanos::from_ns(2));
+        cc.on_rto(Nanos::from_ns(3));
         assert_eq!(cc.next_timer(), None);
         assert_eq!(cc.current_rate(), BitRate::from_gbps(1));
         assert_eq!(cc.name(), "fixed");

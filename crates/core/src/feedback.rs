@@ -144,9 +144,9 @@ mod tests {
 
     fn hop(qlen: u64) -> IntHop {
         IntHop {
-            qlen: Bytes(qlen),
+            qlen: Bytes::new(qlen),
             tx_bytes: 0,
-            ts: Nanos(0),
+            ts: Nanos::from_ns(0),
             rate: BitRate::from_gbps(100),
         }
     }
@@ -159,8 +159,8 @@ mod tests {
         s.push(hop(30));
         s.push(hop(20));
         assert_eq!(s.len(), 3);
-        assert_eq!(s.hops()[1].qlen, Bytes(30));
-        assert_eq!(s.max_qlen(), Bytes(30));
+        assert_eq!(s.hops()[1].qlen, Bytes::new(30));
+        assert_eq!(s.max_qlen(), Bytes::new(30));
     }
 
     #[test]
@@ -171,7 +171,7 @@ mod tests {
         }
         assert_eq!(s.len(), MAX_INT_HOPS);
         // The overflow hops were dropped, so the max is the last kept one.
-        assert_eq!(s.max_qlen(), Bytes(MAX_INT_HOPS as u64 - 1));
+        assert_eq!(s.max_qlen(), Bytes::new(MAX_INT_HOPS as u64 - 1));
     }
 
     #[test]
@@ -180,11 +180,11 @@ mod tests {
         s.push(hop(5));
         s.clear();
         assert!(s.is_empty());
-        assert_eq!(s.max_qlen(), Bytes(0));
+        assert_eq!(s.max_qlen(), Bytes::new(0));
     }
 
     #[test]
     fn empty_stack_max_qlen_is_zero() {
-        assert_eq!(IntStack::new().max_qlen(), Bytes(0));
+        assert_eq!(IntStack::new().max_qlen(), Bytes::new(0));
     }
 }

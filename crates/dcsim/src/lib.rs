@@ -32,24 +32,24 @@
 //!     fn handle<S: Scheduler<u32>>(&mut self, now: Nanos, ev: u32, q: &mut S) {
 //!         self.fired += 1;
 //!         if ev < 3 {
-//!             q.push(now + Nanos(10), ev + 1);
+//!             q.push(now + Nanos::from_ns(10), ev + 1);
 //!         }
 //!     }
 //! }
 //!
 //! // Default scheduler: the binary-heap EventQueue.
 //! let mut sim = Simulation::new(Counter { fired: 0 });
-//! sim.queue_mut().push(Nanos(0), 0);
+//! sim.queue_mut().push(Nanos::ZERO, 0);
 //! sim.run();
 //! assert_eq!(sim.world().fired, 4);
-//! assert_eq!(sim.now(), Nanos(30));
+//! assert_eq!(sim.now(), Nanos::from_ns(30));
 //!
 //! // Same world, timing-wheel scheduler — identical dispatch order.
 //! let mut sim = Simulation::with_scheduler(Counter { fired: 0 }, TimingWheel::new());
-//! sim.queue_mut().push(Nanos(0), 0);
+//! sim.queue_mut().push(Nanos::ZERO, 0);
 //! sim.run();
 //! assert_eq!(sim.world().fired, 4);
-//! assert_eq!(sim.now(), Nanos(30));
+//! assert_eq!(sim.now(), Nanos::from_ns(30));
 //! ```
 
 #![deny(unsafe_code)]

@@ -21,7 +21,7 @@ use std::ops::{Add, AddAssign, Div, Mul, Rem, Sub, SubAssign};
 /// logic bug worth catching loudly; use [`Nanos::saturating_sub`] where
 /// clamping at zero is the intended semantics.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-pub struct Nanos(pub u64);
+pub struct Nanos(pub(crate) u64);
 
 impl Nanos {
     /// Time zero — the start of every simulation.
@@ -38,9 +38,9 @@ impl Nanos {
 
     /// Construct from a raw nanosecond count.
     ///
-    /// The named counterpart of the tuple constructor; code outside this
-    /// module should prefer it (simlint rule U3) so grep can find every
-    /// point where an untyped integer becomes a time.
+    /// The only way to build one outside `dcsim` (fields are private to
+    /// `dcsim`, so the tuple constructor does not compile there): grep
+    /// finds every point where an untyped integer becomes a time.
     #[inline]
     pub const fn from_ns(ns: u64) -> Self {
         Nanos(ns)

@@ -14,7 +14,7 @@ use crate::time::Nanos;
 
 /// A count of bytes (payload sizes, queue depths, window sizes).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-pub struct Bytes(pub u64);
+pub struct Bytes(pub(crate) u64);
 
 impl Bytes {
     /// Zero bytes.
@@ -22,9 +22,9 @@ impl Bytes {
 
     /// Construct from a raw byte count.
     ///
-    /// The named counterpart of the tuple constructor; code outside this
-    /// module should prefer it (simlint rule U3) so grep can find every
-    /// point where an untyped integer becomes a byte count.
+    /// The only way to build one outside `dcsim` (fields are private to
+    /// `dcsim`, so the tuple constructor does not compile there): grep
+    /// finds every point where an untyped integer becomes a byte count.
     #[inline]
     pub const fn new(b: u64) -> Self {
         Bytes(b)
@@ -154,7 +154,7 @@ impl Nanos {
 /// `u64`. Conversions to serialization delay round to whole nanoseconds;
 /// the link model owns sub-nanosecond residue (see `netsim::link`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-pub struct BitRate(pub u64);
+pub struct BitRate(pub(crate) u64);
 
 impl BitRate {
     /// Zero rate (an idle or fully throttled sender).
@@ -162,9 +162,9 @@ impl BitRate {
 
     /// Construct from raw bits per second.
     ///
-    /// The named counterpart of the tuple constructor; code outside this
-    /// module should prefer it (simlint rule U3) so grep can find every
-    /// point where an untyped integer becomes a rate.
+    /// The only way to build one outside `dcsim` (fields are private to
+    /// `dcsim`, so the tuple constructor does not compile there): grep
+    /// finds every point where an untyped integer becomes a rate.
     #[inline]
     pub const fn from_bps(bps: u64) -> Self {
         BitRate(bps)

@@ -180,9 +180,9 @@ mod tests {
             queue: vec![(0.0, 100), (10.0, 50)],
             fcts: vec![netsim::FctRecord {
                 flow: netsim::FlowId(0),
-                size: Bytes(1000),
-                start: dcsim::Nanos(0),
-                finish: dcsim::Nanos(5_000),
+                size: Bytes::new(1000),
+                start: dcsim::Nanos::from_ns(0),
+                finish: dcsim::Nanos::from_ns(5_000),
             }],
             raw: vec![(0, 1000, 1.25)],
             all_finished: true,

@@ -130,7 +130,7 @@ fn drive<S: Scheduler<netsim::Event> + Default>(
 /// quarter of the deadline, floored at 1 ms so RTT-scale quiet spells and
 /// backed-off RTO waits never read as stalls (see [`netsim::run_watched`]).
 fn default_watchdog(deadline: Nanos) -> Nanos {
-    Nanos(deadline.as_u64() / 4).max(Nanos::from_millis(1))
+    Nanos::from_ns(deadline.as_u64() / 4).max(Nanos::from_millis(1))
 }
 
 /// Everything that differs between the scenario families, resolved
@@ -504,7 +504,7 @@ fn poisson_plan(
     );
     // Arrivals stop at the horizon; give the tail 4x the horizon to
     // drain (starved long flows are exactly what we are measuring).
-    let drain_deadline = Nanos(horizon.as_u64() * 5);
+    let drain_deadline = Nanos::from_ns(horizon.as_u64() * 5);
     Plan {
         env: NetEnv::fat_tree(topo.base_rtt),
         cfg: NetConfig::default(),
@@ -848,7 +848,7 @@ impl Scenario for FaultScenario {
             cap: rto_cap,
             jitter_frac: 0.1,
         };
-        plan.watchdog = plan.watchdog.max(Nanos(rto_cap.as_u64() * 5));
+        plan.watchdog = plan.watchdog.max(Nanos::from_ns(rto_cap.as_u64() * 5));
         let run = execute(plan, &self.cc, ctx, &|env, s| self.cc.build(env, s));
         let raw = slowdown_rows(&run.net);
         FaultResult {

@@ -180,10 +180,10 @@ impl FlapSchedule {
         for k in 0..u64::from(self.cycles.max(1)) {
             let offset = self.period.as_u64().saturating_mul(k);
             let down = self.first_down.as_u64().saturating_add(offset);
-            out.push((Nanos(down), false));
+            out.push((Nanos::from_ns(down), false));
             let up = down.saturating_add(self.down_for.as_u64());
             if up < Nanos::MAX.as_u64() {
-                out.push((Nanos(up), true));
+                out.push((Nanos::from_ns(up), true));
             }
         }
         out
@@ -274,7 +274,7 @@ impl RtoBackoff {
             .checked_pow(level)
             .unwrap_or(u64::MAX);
         let raw = base.as_u64().saturating_mul(factor);
-        Nanos(raw.min(self.cap.as_u64().max(base.as_u64())))
+        Nanos::from_ns(raw.min(self.cap.as_u64().max(base.as_u64())))
     }
 
     /// The jitter to add on top of `timeout`. Zero — with zero RNG
@@ -285,7 +285,7 @@ impl RtoBackoff {
         }
         let frac = self.jitter_frac.min(1.0) * rng.f64();
         let extra = (timeout.as_u64() as f64 * frac) as u64; // simlint: allow(D4) — jitter rounding; sub-ns precision is immaterial
-        Nanos(extra)
+        Nanos::from_ns(extra)
     }
 }
 
@@ -385,8 +385,8 @@ mod tests {
     #[test]
     fn zero_jitter_draws_nothing() {
         let b = RtoBackoff::default();
-        let mut a = DetRng::new(7); // simlint: allow(D6) — test fixture RNG, not sim fault wiring
-        let mut c = DetRng::new(7); // simlint: allow(D6) — test fixture RNG, not sim fault wiring
+        let mut a = DetRng::new(7);
+        let mut c = DetRng::new(7);
         assert_eq!(b.jitter(Nanos::from_micros(100), &mut a), Nanos::ZERO);
         // The RNG state is untouched: both generators still agree.
         assert_eq!(a.next_u64(), c.next_u64());
@@ -398,7 +398,7 @@ mod tests {
             jitter_frac: 0.5,
             ..RtoBackoff::default()
         };
-        let mut rng = DetRng::new(42); // simlint: allow(D6) — test fixture RNG, not sim fault wiring
+        let mut rng = DetRng::new(42);
         let t = Nanos::from_micros(100);
         for _ in 0..100 {
             let j = b.jitter(t, &mut rng);
@@ -437,7 +437,7 @@ mod tests {
     #[test]
     fn gilbert_elliott_bursts_and_recovers() {
         let mut st = LossState::new(LossModel::bursty(0.05, 0.2, 0.8));
-        let mut rng = DetRng::new(1234); // simlint: allow(D6) — test fixture RNG, not sim fault wiring
+        let mut rng = DetRng::new(1234);
         let mut losses = 0u64;
         let mut bad_packets = 0u64;
         let n = 100_000u64;
@@ -462,7 +462,7 @@ mod tests {
     #[test]
     fn uniform_loss_rate_matches_p() {
         let mut st = LossState::new(LossModel::uniform(0.03));
-        let mut rng = DetRng::new(99); // simlint: allow(D6) — test fixture RNG, not sim fault wiring
+        let mut rng = DetRng::new(99);
         let n = 100_000u64;
         let losses = (0..n).filter(|_| st.lose(&mut rng)).count() as f64;
         let rate = losses / n as f64;

@@ -173,11 +173,11 @@ mod tests {
     fn cnp_rate_limit() {
         let mut f = Flow::new(FlowId(0), spec(), Box::new(Dummy));
         let interval = Nanos::from_micros(50);
-        assert!(f.try_emit_cnp(Nanos(0), interval));
-        assert!(!f.try_emit_cnp(Nanos(10_000), interval));
-        assert!(!f.try_emit_cnp(Nanos(49_999), interval));
-        assert!(f.try_emit_cnp(Nanos(50_000), interval));
-        assert!(!f.try_emit_cnp(Nanos(60_000), interval));
+        assert!(f.try_emit_cnp(Nanos::from_ns(0), interval));
+        assert!(!f.try_emit_cnp(Nanos::from_ns(10_000), interval));
+        assert!(!f.try_emit_cnp(Nanos::from_ns(49_999), interval));
+        assert!(f.try_emit_cnp(Nanos::from_ns(50_000), interval));
+        assert!(!f.try_emit_cnp(Nanos::from_ns(60_000), interval));
     }
 
     #[test]
@@ -186,7 +186,7 @@ mod tests {
         Flow::new(
             FlowId(0),
             FlowSpec {
-                size: Bytes(0),
+                size: Bytes::new(0),
                 ..spec()
             },
             Box::new(Dummy),

@@ -211,11 +211,11 @@ mod tests {
     fn fct_math() {
         let r = FctRecord {
             flow: FlowId(0),
-            size: Bytes(1000),
-            start: Nanos(100),
-            finish: Nanos(350),
+            size: Bytes::new(1000),
+            start: Nanos::from_ns(100),
+            finish: Nanos::from_ns(350),
         };
-        assert_eq!(r.fct(), Nanos(250));
+        assert_eq!(r.fct(), Nanos::from_ns(250));
     }
 
     #[test]

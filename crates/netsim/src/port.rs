@@ -243,7 +243,7 @@ impl Port {
                 }
             }
             if let Some(red) = self.red {
-                let p = red.mark_probability(Bytes(self.qbytes));
+                let p = red.mark_probability(Bytes::new(self.qbytes));
                 if p > 0.0 && red_rng.chance(p) {
                     pool.get_mut(h).ecn = true;
                     self.ecn_marked += 1;
@@ -323,7 +323,7 @@ impl Port {
         let ps = (bytes as u128) * 8_000_000_000_000u128 / (self.rate.as_u64() as u128);
         let total = (ps as u64).saturating_add(self.residue_ps);
         self.residue_ps = total % 1_000;
-        Nanos(total / 1_000)
+        Nanos::from_ns(total / 1_000)
     }
 
     /// Whether the queue has packets waiting.
@@ -446,7 +446,7 @@ mod tests {
 
         let (pkt, delay) = p.begin_tx().expect("queue has a packet");
         assert_eq!(pool.get(pkt).wire_size, 1000);
-        assert_eq!(delay, Nanos(80)); // 1000B @ 100Gbps
+        assert_eq!(delay, Nanos::from_ns(80)); // 1000B @ 100Gbps
         assert_eq!(p.qbytes(), 500);
         assert_eq!(p.tx_bytes(), 1000);
         assert_eq!(p.tx_packets(), 1);
@@ -467,7 +467,7 @@ mod tests {
             let (_, d) = p.begin_tx().expect("queue has a packet");
             total += d;
         }
-        assert_eq!(total, Nanos(24));
+        assert_eq!(total, Nanos::from_ns(24));
     }
 
     #[test]
@@ -476,8 +476,8 @@ mod tests {
         let mut rng = DetRng::new(1);
         let mut p = port(100);
         p.red = Some(RedConfig {
-            kmin: Bytes(0),
-            kmax: Bytes(1),
+            kmin: Bytes::new(0),
+            kmax: Bytes::new(1),
             pmax: 1.0,
         });
         // First packet sees empty queue (0 <= kmin=0 → no mark).
@@ -501,8 +501,8 @@ mod tests {
         let mut rng = DetRng::new(1);
         let mut p = port(100);
         p.red = Some(RedConfig {
-            kmin: Bytes(0),
-            kmax: Bytes(1),
+            kmin: Bytes::new(0),
+            kmax: Bytes::new(1),
             pmax: 1.0,
         });
         let ack = ack_pkt(&mut pool, 60);
@@ -520,15 +520,15 @@ mod tests {
     #[test]
     fn red_probability_is_linear() {
         let red = RedConfig {
-            kmin: Bytes(100),
-            kmax: Bytes(300),
+            kmin: Bytes::new(100),
+            kmax: Bytes::new(300),
             pmax: 0.1,
         };
-        assert_eq!(red.mark_probability(Bytes(50)), 0.0);
-        assert_eq!(red.mark_probability(Bytes(100)), 0.0);
-        assert!((red.mark_probability(Bytes(200)) - 0.05).abs() < 1e-12);
-        assert_eq!(red.mark_probability(Bytes(300)), 1.0);
-        assert_eq!(red.mark_probability(Bytes(400)), 1.0);
+        assert_eq!(red.mark_probability(Bytes::new(50)), 0.0);
+        assert_eq!(red.mark_probability(Bytes::new(100)), 0.0);
+        assert!((red.mark_probability(Bytes::new(200)) - 0.05).abs() < 1e-12);
+        assert_eq!(red.mark_probability(Bytes::new(300)), 1.0);
+        assert_eq!(red.mark_probability(Bytes::new(400)), 1.0);
     }
 
     #[test]
@@ -583,10 +583,10 @@ mod tests {
         let h2 = data_pkt(&mut pool, 500);
         p.enqueue(h2, &mut pool, &mut rng)
             .expect("no buffer limit set");
-        let flushed = p.take_down(Nanos(77));
+        let flushed = p.take_down(Nanos::from_ns(77));
         assert_eq!(flushed, vec![h1, h2]);
         assert!(!p.link_up);
-        assert_eq!(p.last_down, Nanos(77));
+        assert_eq!(p.last_down, Nanos::from_ns(77));
         assert_eq!(p.qbytes(), 0);
         assert_eq!(p.dropped_packets(), 2);
         assert_eq!(p.dropped_bytes(), 1500);

@@ -170,7 +170,7 @@ mod tests {
             FlowSpec {
                 src: h0,
                 dst: h1,
-                size: Bytes(500_000),
+                size: Bytes::new(500_000),
                 start: Nanos::ZERO,
             },
             Box::new(FixedRate(BitRate::from_gbps(100))),

@@ -108,7 +108,7 @@ mod tests {
             FlowSpec {
                 src: h0,
                 dst: h1,
-                size: Bytes(625_000), // 50 Gbps x 100 us
+                size: Bytes::new(625_000), // 50 Gbps x 100 us
                 start: dcsim::Nanos::ZERO,
             },
             Box::new(FixedRate(BitRate::from_gbps(50))),

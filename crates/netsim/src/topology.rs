@@ -353,7 +353,7 @@ mod tests {
             FlowSpec {
                 src: hosts[0],
                 dst: *hosts.last().expect("topology has hosts"),
-                size: Bytes(100_000),
+                size: Bytes::new(100_000),
                 start: Nanos::ZERO,
             },
             Box::new(FixedRate(BitRate::from_gbps(100))),
@@ -386,13 +386,13 @@ mod tests {
             FlowSpec {
                 src: hosts[0],
                 dst: hosts[1],
-                size: Bytes(1000),
+                size: Bytes::new(1000),
                 start: Nanos::ZERO,
             },
             Box::new(FixedRate(BitRate::from_gbps(100))),
         );
         // 2 links forward: 2*(1000ns + 80ns); ACK back 2*(1000ns + 5ns).
-        assert_eq!(net.ideal_fct(id), Nanos(2160 + 2010));
+        assert_eq!(net.ideal_fct(id), Nanos::from_ns(2160 + 2010));
     }
 
     #[test]
@@ -416,7 +416,7 @@ mod tests {
             FlowSpec {
                 src: hosts[0],
                 dst: hosts[31],
-                size: Bytes(1000),
+                size: Bytes::new(1000),
                 start: Nanos::ZERO,
             },
             Box::new(FixedRate(BitRate::from_gbps(100))),

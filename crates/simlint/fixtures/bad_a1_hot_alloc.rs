@@ -1,6 +1,6 @@
 //! A1 fixture: heap allocation on the engine hot path. `step` reaches
 //! `deliver` (per-event box + label) and `drain` (per-iteration growth
-//! of an unreserved buffer, fixable from the loop head's length).
+//! of an unreserved buffer).
 
 pub fn step(xs: &[u64]) {
     deliver(7);

@@ -9,3 +9,7 @@ fn flow_table() -> HashMap<u32, u64> {
     seen.insert(1);
     m
 }
+
+fn hasher() -> std::collections::hash_map::RandomState {
+    Default::default()
+}

@@ -4,3 +4,9 @@ fn head(q: &std::collections::VecDeque<u32>) -> u32 {
     let b = q.back().expect("");
     *a + *b
 }
+
+fn split(q: &std::collections::VecDeque<u32>) -> u32 {
+    *q.front()
+        .unwrap
+        ()
+}

@@ -25,3 +25,14 @@ fn pick_path(root: &DetRng) -> DetRng {
 fn feedback_probe(root: &DetRng) -> DetRng {
     root.stream(RED_STREAM)
 }
+
+// Fault-injection code seeding a private generator, then borrowing RED's
+// stream by raw number: either couples fault draws to the workload/ECMP/RED
+// sequences, so enabling faults would perturb a fault-free run's draws.
+fn fault_channel(seed: u64) -> DetRng {
+    DetRng::new(seed)
+}
+
+fn link_fault_draw(root: &DetRng) -> DetRng {
+    root.stream(2)
+}

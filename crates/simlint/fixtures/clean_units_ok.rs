@@ -1,5 +1,5 @@
 //! Clean fixture: unit arithmetic done the sanctioned way. Must produce
-//! zero findings under the full v1+v2 rule set.
+//! zero findings under the full rule set.
 
 use crate::units::{Bytes, Nanos};
 

@@ -1,8 +1,8 @@
-//! Local unit definitions for the v2 fixture set.
+//! Local unit definitions for the fixture set.
 //!
 //! This file is named `units.rs` deliberately: unit-definition files are
-//! exempt from the U rules (they are where raw construction and `.0`
-//! access legitimately live), mirroring the real `dcsim` layout. The
+//! exempt from U1 (they are where raw construction and `.0` access
+//! legitimately live), mirroring the real `dcsim` layout. The
 //! other fixtures reference these types through the workspace symbol
 //! table the analyzer builds over the whole fixture tree.
 

@@ -1,5 +1,5 @@
-//! Fixture with an unbalanced delimiter: the v2 parser must report a
-//! parse failure (CLI exit code 2) while the v1 line rules still run.
+//! Fixture with an unbalanced delimiter: the parser must report a parse
+//! failure (CLI exit code 2) and the file contributes no findings.
 
 pub fn broken() {
     let x = (1, 2;

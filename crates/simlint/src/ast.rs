@@ -3,7 +3,7 @@
 //! This is deliberately *much* smaller than a real Rust AST: it keeps
 //! exactly what the semantic rules consume — item shells with signatures,
 //! struct/enum definitions, use-paths, and expression trees with spans so
-//! the autofixer can splice replacements back into the original text.
+//! findings point at the offending expression.
 //! Anything the parser cannot confidently shape degrades to
 //! [`ExprKind::Opaque`] / [`Item::Other`] rather than failing the file.
 
@@ -120,14 +120,8 @@ pub enum Item {
         name: String,
         /// Variant names in declaration order.
         variants: Vec<String>,
-        /// Per-variant payload types, aligned with `variants`: tuple
-        /// payload types, named-field payload types, or empty for unit
-        /// variants. The A2 cost rule sizes these.
-        payloads: Vec<Vec<TypeRef>>,
         /// Declared inside `#[cfg(test)]` code.
         cfg_test: bool,
-        /// 1-based declaration line.
-        line: usize,
     },
     /// Free function or method.
     Fn(FnItem),
@@ -359,8 +353,6 @@ pub enum ExprKind {
         recv: Box<Expr>,
         /// Field name or tuple index.
         name: String,
-        /// Span of `.name` (dot through field token), for autofixes.
-        access_span: Span,
     },
     /// `expr as Ty`.
     Cast {

@@ -1,9 +1,13 @@
-//! Workspace call graph for the interprocedural P-family rules.
+//! Workspace call graph for the interprocedural rules (P1, P3, A1).
 //!
 //! The semantic walker ([`crate::sem`]) already infers a receiver type at
 //! every call site; this module records those observations as per-function
-//! [`FnFacts`], links them into a [`CallGraph`], and offers the reachability
-//! primitives the dataflow pass ([`crate::flow`]) builds on.
+//! [`FnFacts`], links them into a [`CallGraph`], and defines — once, for
+//! [`crate::flow`] and [`crate::cost`] alike — which functions count as
+//! sim code ([`CallGraph::sim_nontest`]) and where the engine's hot paths
+//! start ([`CallGraph::hot_roots`]). How far a rule walks from those roots
+//! is the rule's own business: P1 follows every edge, A1 prunes the walk
+//! with its cost heuristics ([`crate::cost`]).
 //!
 //! Resolution is deliberately an over-approximation in the same spirit as
 //! the rest of simlint:
@@ -20,8 +24,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use crate::lex::Span;
-use crate::{scope_of, Fix, Scope};
+use crate::{scope_of, Scope};
 
 /// Above this many candidates an unresolved method name is considered too
 /// ambiguous to produce edges (it would connect everything to everything).
@@ -59,8 +62,6 @@ pub struct CallRef {
     pub via_method: bool,
     /// 1-based line of the call site.
     pub line: usize,
-    /// Byte span of the call expression.
-    pub span: Span,
 }
 
 /// How the argument of a `.stream(..)` call was written.
@@ -72,21 +73,6 @@ pub enum StreamArg {
     Named(String),
     /// Anything else (derived labels, variables).
     Other,
-}
-
-/// An order-unstable iteration site (hash-container iteration).
-#[derive(Debug, Clone)]
-pub struct UnstableIter {
-    /// 1-based line.
-    pub line: usize,
-    /// Span of the iteration expression.
-    pub span: Span,
-    /// `"HashMap"` or `"HashSet"`.
-    pub container: &'static str,
-    /// Mechanical container swap (`HashMap` → `BTreeMap` on the local
-    /// declaration line) when the receiver is a local with a visible
-    /// annotated `let`.
-    pub fix: Option<Fix>,
 }
 
 /// The shape of a heap allocation the A1 cost rule reports.
@@ -104,26 +90,11 @@ pub enum AllocKind {
     CloneHeap,
 }
 
-impl AllocKind {
-    /// Short label used in diagnostics.
-    pub fn describe(&self) -> &'static str {
-        match self {
-            AllocKind::BoxNew => "`Box::new` heap allocation",
-            AllocKind::VecGrowth => "`Vec` construction without a capacity reservation",
-            AllocKind::VecPush => "growth-reallocating `Vec::push`",
-            AllocKind::StringAlloc => "`String` allocation",
-            AllocKind::CloneHeap => "`.clone()` of a heap-owning type",
-        }
-    }
-}
-
 /// A heap-allocation site observed in a function body (A1 raw material).
 #[derive(Debug, Clone)]
 pub struct AllocSite {
     /// 1-based line.
     pub line: usize,
-    /// Span of the allocating expression.
-    pub span: Span,
     /// What allocates.
     pub kind: AllocKind,
     /// Source rendering / type detail for the message (`Box::new`,
@@ -131,55 +102,9 @@ pub struct AllocSite {
     pub what: String,
     /// The site sits inside a loop body — per-iteration allocation.
     pub in_loop: bool,
-    /// Mechanical reserve-insertion fix (`Vec::new()` →
-    /// `Vec::with_capacity(n)`) when the loop bound is knowable.
-    pub fix: Option<Fix>,
 }
 
-/// A collect-then-iterate materialization site (A3 raw material).
-#[derive(Debug, Clone)]
-pub struct CollectIter {
-    /// 1-based line.
-    pub line: usize,
-    /// Span of the whole chain expression.
-    pub span: Span,
-    /// The re-iteration method (`into_iter`, `iter`, or a `for` head).
-    pub method: &'static str,
-    /// Whether the chain sits inside a loop body (escalates severity).
-    pub in_loop: bool,
-    /// Iterator-fusion fix (delete `.collect::<Vec<_>>().into_iter()`)
-    /// when type-sound.
-    pub fix: Option<Fix>,
-}
-
-/// A large struct parameter passed by value (A4 raw material).
-#[derive(Debug, Clone)]
-pub struct ByvalParam {
-    /// Parameter binding name.
-    pub name: String,
-    /// Parameter type name.
-    pub ty: String,
-    /// Estimated size in bytes from the symbol table's field shapes.
-    pub est_bytes: usize,
-}
-
-/// A float accumulation whose operand order may be unstable.
-#[derive(Debug, Clone)]
-pub struct FloatAccum {
-    /// 1-based line of the accumulation.
-    pub line: usize,
-    /// Span of the accumulating expression.
-    pub span: Span,
-    /// The iteration driving the accumulation is itself a hash-container
-    /// iteration in this function.
-    pub head_unstable: bool,
-    /// Indices into [`FnFacts::calls`] made by the iteration head — the
-    /// interprocedural escape hatch (the head may call an unstable
-    /// producer elsewhere).
-    pub head_calls: Vec<usize>,
-}
-
-/// Everything the flow pass needs to know about one function body.
+/// Everything the graph rules need to know about one function body.
 #[derive(Debug, Clone, Default)]
 pub struct FnFacts {
     /// Owner + name.
@@ -192,22 +117,10 @@ pub struct FnFacts {
     pub is_test: bool,
     /// Outgoing calls in body order.
     pub calls: Vec<CallRef>,
-    /// `DetRng::new(..)` sites.
-    pub rng_news: Vec<(usize, Span)>,
-    /// `.stream(..)` sites with their argument shape.
-    pub stream_calls: Vec<(StreamArg, usize, Span)>,
-    /// Hash-container iteration sites.
-    pub unstable_iters: Vec<UnstableIter>,
-    /// The function sorts or otherwise canonicalizes an ordering
-    /// (`sort*` call or a `collect` into a BTree container) — clears the
-    /// order-instability taint it would otherwise propagate.
-    pub sorts: bool,
-    /// Event-scheduling sink sites (`schedule*`, scheduler `push`).
-    pub sched_sinks: Vec<(usize, Span)>,
-    /// Metrics-aggregation sink sites (`counter_add`, `histogram_record`…).
-    pub metric_sinks: Vec<(usize, Span)>,
-    /// Float accumulations in reduction positions.
-    pub float_accums: Vec<FloatAccum>,
+    /// Lines of `DetRng::new(..)` sites.
+    pub rng_news: Vec<usize>,
+    /// `.stream(..)` sites: argument shape and line.
+    pub stream_calls: Vec<(StreamArg, usize)>,
     /// SCREAMING_CASE path references (candidate static/const reads),
     /// with their lines.
     pub caps_refs: Vec<(String, usize)>,
@@ -217,10 +130,6 @@ pub struct FnFacts {
     /// growth-allocation findings in this function are then presumed
     /// amortized and suppressed.
     pub reserves: bool,
-    /// Collect-then-iterate sites (A3 raw material).
-    pub collect_iters: Vec<CollectIter>,
-    /// Large struct parameters taken by value (A4 raw material).
-    pub byval_params: Vec<ByvalParam>,
 }
 
 /// A `static` item declaration.
@@ -259,16 +168,31 @@ pub struct CallGraph {
     pub statics: Vec<StaticItem>,
     /// Forward edges: `edges[i]` are the fn indices `fns[i]` may call.
     pub edges: Vec<Vec<usize>>,
-    /// Reverse edges: `redges[i]` are the fns that may call `fns[i]`.
-    pub redges: Vec<Vec<usize>>,
-    /// Per-call resolution: `call_targets[i][j]` are the fn indices call
-    /// `fns[i].calls[j]` resolved to.
-    pub call_targets: Vec<Vec<Vec<usize>>>,
     /// Edges that only exist because of name-only method dispatch (the
-    /// receiver type was unknown). Low confidence: the cost pass refuses
-    /// to extend hot-path reachability through them, because one false
-    /// `.get()`/`.expect()` match would poison an entire subtree.
+    /// receiver type was unknown). Low confidence: hot-path reachability
+    /// is not extended through them, because one false `.get()`/
+    /// `.expect()` match would poison an entire subtree.
     pub name_only: BTreeSet<(usize, usize)>,
+}
+
+/// Once-per-run driver roots: only per-iteration cost counts inside them.
+const RUN_ROOTS: [&str; 3] = ["run", "run_with", "run_watched"];
+
+/// Per-event root selection. `step` and owner-qualified `handle` are the
+/// dispatcher; `push`/`pop` only count on scheduler-shaped owners (the
+/// bare names would match every `Vec` helper in the workspace), and
+/// `enqueue`/`dequeue` on any method owner (they are not std names).
+fn is_event_root(key: &FnKey) -> bool {
+    match key.name.as_str() {
+        "step" => true,
+        "handle" => key.owner.is_some(),
+        "push" | "pop" => key
+            .owner
+            .as_deref()
+            .is_some_and(|o| o.ends_with("Queue") || o.ends_with("Wheel")),
+        "enqueue" | "dequeue" => key.owner.is_some(),
+        _ => false,
+    }
 }
 
 impl CallGraph {
@@ -298,36 +222,26 @@ impl CallGraph {
         }
 
         let mut edges: Vec<Vec<usize>> = vec![Vec::new(); fns.len()];
-        let mut call_targets: Vec<Vec<Vec<usize>>> = vec![Vec::new(); fns.len()];
         let mut name_only: BTreeSet<(usize, usize)> = BTreeSet::new();
         let mut confident: BTreeSet<(usize, usize)> = BTreeSet::new();
         for (i, f) in fns.iter().enumerate() {
-            let mut per_call = Vec::with_capacity(f.calls.len());
             for c in &f.calls {
                 let mut low_confidence = false;
-                let targets: Vec<usize> = match (&c.owner, c.via_method) {
+                let targets: &[usize] = match (&c.owner, c.via_method) {
                     (Some(owner), _) => by_exact
                         .get(&(Some(owner.as_str()), c.name.as_str()))
-                        .cloned()
-                        .unwrap_or_default(),
+                        .map_or(&[], Vec::as_slice),
                     (None, true) => {
                         low_confidence = true;
-                        let cands = methods_by_name
+                        methods_by_name
                             .get(c.name.as_str())
-                            .cloned()
-                            .unwrap_or_default();
-                        if cands.len() > DISPATCH_FANOUT_CAP {
-                            Vec::new()
-                        } else {
-                            cands
-                        }
+                            .map(Vec::as_slice)
+                            .filter(|cands| cands.len() <= DISPATCH_FANOUT_CAP)
+                            .unwrap_or(&[])
                     }
-                    (None, false) => free_by_name
-                        .get(c.name.as_str())
-                        .cloned()
-                        .unwrap_or_default(),
+                    (None, false) => free_by_name.get(c.name.as_str()).map_or(&[], Vec::as_slice),
                 };
-                for &t in &targets {
+                for &t in targets {
                     if t != i {
                         edges[i].push(t);
                         if low_confidence {
@@ -339,54 +253,44 @@ impl CallGraph {
                         }
                     }
                 }
-                per_call.push(targets);
             }
             edges[i].sort_unstable();
             edges[i].dedup();
-            call_targets[i] = per_call;
         }
-
-        let mut redges: Vec<Vec<usize>> = vec![Vec::new(); fns.len()];
-        for (i, outs) in edges.iter().enumerate() {
-            for &t in outs {
-                redges[t].push(i);
-            }
-        }
-        for r in &mut redges {
-            r.sort_unstable();
-            r.dedup();
-        }
-
         name_only.retain(|e| !confident.contains(e));
 
         CallGraph {
             fns,
             statics,
             edges,
-            redges,
-            call_targets,
             name_only,
         }
     }
 
-    /// The scope of the file a function lives in.
-    pub fn scope(&self, i: usize) -> Scope {
-        scope_of(&self.fns[i].path)
+    /// Whether `fns[i]` is sim-scope, non-test code — what the graph
+    /// rules police.
+    pub fn sim_nontest(&self, i: usize) -> bool {
+        !self.fns[i].is_test && scope_of(&self.fns[i].path) == Scope::Sim
     }
 
-    /// Forward-reachable set from `roots` (inclusive), with BFS parents
-    /// for witness-chain reconstruction.
-    pub fn reach_forward(&self, roots: &[usize]) -> Reach {
-        self.reach(roots, &self.edges)
+    /// Where the engine's hot paths start: the once-per-run drivers and
+    /// the per-event roots.
+    pub fn hot_roots(&self) -> HotRoots {
+        let sim_fns = |pick: &dyn Fn(&FnKey) -> bool| -> Vec<usize> {
+            (0..self.fns.len())
+                .filter(|&i| self.sim_nontest(i) && pick(&self.fns[i].key))
+                .collect()
+        };
+        HotRoots {
+            run: sim_fns(&|k| RUN_ROOTS.contains(&k.name.as_str())),
+            event: sim_fns(&is_event_root),
+        }
     }
 
-    /// Reverse-reachable set (every fn that can reach one of `roots`),
-    /// with parents pointing one hop closer to a root.
-    pub fn reach_backward(&self, roots: &[usize]) -> Reach {
-        self.reach(roots, &self.redges)
-    }
-
-    fn reach(&self, roots: &[usize], edges: &[Vec<usize>]) -> Reach {
+    /// Forward BFS from `roots` over the edges `follow(from, to)` admits,
+    /// keeping parents for witness chains. Recursion is handled by the
+    /// visited set.
+    pub fn reach(&self, roots: &[usize], follow: impl Fn(usize, usize) -> bool) -> Reach {
         let mut parent: BTreeMap<usize, Option<usize>> = BTreeMap::new();
         let mut queue: Vec<usize> = Vec::new();
         for &r in roots {
@@ -399,7 +303,10 @@ impl CallGraph {
         while at < queue.len() {
             let cur = queue[at];
             at += 1;
-            for &next in &edges[cur] {
+            for &next in &self.edges[cur] {
+                if !follow(cur, next) {
+                    continue;
+                }
                 if let std::collections::btree_map::Entry::Vacant(e) = parent.entry(next) {
                     e.insert(Some(cur));
                     queue.push(next);
@@ -432,19 +339,6 @@ impl CallGraph {
             .collect::<Vec<_>>()
             .join(" → ")
     }
-
-    /// Indices of functions whose name is one of `names`, filtered to
-    /// non-test sim-scope functions.
-    pub fn sim_fns_named(&self, names: &[&str]) -> Vec<usize> {
-        self.fns
-            .iter()
-            .enumerate()
-            .filter(|(i, f)| {
-                !f.is_test && self.scope(*i) == Scope::Sim && names.contains(&f.key.name.as_str())
-            })
-            .map(|(i, _)| i)
-            .collect()
-    }
 }
 
 /// A reachability closure with BFS parents.
@@ -459,33 +353,44 @@ impl Reach {
     pub fn contains(&self, i: usize) -> bool {
         self.parent.contains_key(&i)
     }
+}
 
-    /// Every reached index, ascending.
-    pub fn members(&self) -> BTreeSet<usize> {
-        self.parent.keys().copied().collect()
+/// The roots selected by [`CallGraph::hot_roots`].
+#[derive(Debug, Default)]
+pub struct HotRoots {
+    /// Once-per-run drivers (`run`, `run_with`, `run_watched`).
+    pub run: Vec<usize>,
+    /// Per-event roots: the dispatcher and the scheduler/queue operations.
+    pub event: Vec<usize>,
+}
+
+impl HotRoots {
+    /// Every root, run drivers first.
+    pub fn all(&self) -> Vec<usize> {
+        self.run.iter().chain(&self.event).copied().collect()
     }
+}
+
+/// Test helper for the graph rules: parse `(path, src)` files through the
+/// full fact-collection pipeline and link the graph.
+#[cfg(test)]
+pub(crate) fn graph_of(srcs: &[(&str, &str)]) -> CallGraph {
+    use crate::{parse, sem, sym};
+    let parsed: Vec<(crate::ast::File, crate::lex::Lexed)> = srcs
+        .iter()
+        .map(|(p, s)| parse::parse_file(p, s).expect("test source parses"))
+        .collect();
+    let symbols = sym::Symbols::build(parsed.iter().map(|(f, _)| f));
+    let facts = parsed
+        .iter()
+        .map(|(file, lexed)| sem::check_file(file, lexed, &symbols).1)
+        .collect();
+    CallGraph::build(facts)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{parse, sem, sym};
-
-    /// Parse a set of `(path, src)` files through the full fact-collection
-    /// pipeline and link the graph.
-    fn graph_of(srcs: &[(&str, &str)]) -> CallGraph {
-        let parsed: Vec<(crate::ast::File, crate::lex::Lexed)> = srcs
-            .iter()
-            .map(|(p, s)| parse::parse_file(p, s).expect("test source parses"))
-            .collect();
-        let symbols = sym::Symbols::build(parsed.iter().map(|(f, _)| f));
-        let facts = srcs
-            .iter()
-            .zip(&parsed)
-            .map(|((_, s), (file, _))| sem::check_file_collect(file, s, &symbols).1)
-            .collect();
-        CallGraph::build(facts)
-    }
 
     fn idx(g: &CallGraph, name: &str) -> usize {
         g.fns
@@ -504,14 +409,9 @@ mod tests {
              impl Widget { fn assemble() {} }\n",
         )]);
         let outer = idx(&g, "outer");
-        let helper = idx(&g, "helper");
         let assemble = idx(&g, "assemble");
-        assert!(g.edges[outer].contains(&helper), "free call resolved");
-        assert!(
-            g.edges[outer].contains(&assemble),
-            "qualified call resolved"
-        );
-        assert!(g.redges[helper].contains(&outer), "reverse edge present");
+        assert!(g.edges[outer].contains(&idx(&g, "helper")), "free call");
+        assert!(g.edges[outer].contains(&assemble), "qualified call");
         assert_eq!(g.fns[assemble].key.owner.as_deref(), Some("Widget"));
     }
 
@@ -521,28 +421,27 @@ mod tests {
             "crates/dcsim/src/engine.rs",
             "trait Sched { fn push_event(&mut self); }\n\
              struct Heap;\n\
-             impl Sched for Heap { fn push_event(&mut self) { heap_work(); } }\n\
+             impl Sched for Heap { fn push_event(&mut self) {} }\n\
              struct Wheel;\n\
              impl Sched for Wheel { fn push_event(&mut self) {} }\n\
              fn drive() { let s = mystery(); s.push_event(); }\n\
-             fn mystery() {}\n\
-             fn heap_work() {}\n",
+             fn mystery() {}\n",
         )]);
         let drive = idx(&g, "drive");
         // The receiver's type is unknown, so the call over-approximates to
         // every same-name method: both impls plus the trait's own
-        // declaration (kept so trait *default* bodies resolve too).
-        let call = g.fns[drive]
-            .calls
+        // declaration (kept so trait *default* bodies resolve too) — all
+        // marked low-confidence.
+        let dispatched: Vec<usize> = g.edges[drive]
             .iter()
-            .position(|c| c.name == "push_event")
-            .expect("method call recorded");
-        assert_eq!(
-            g.call_targets[drive][call].len(),
-            3,
-            "impls + trait decl targeted"
-        );
-        let owners: Vec<&str> = g.call_targets[drive][call]
+            .copied()
+            .filter(|&t| g.fns[t].key.name == "push_event")
+            .collect();
+        assert_eq!(dispatched.len(), 3, "impls + trait decl targeted");
+        assert!(dispatched
+            .iter()
+            .all(|&t| g.name_only.contains(&(drive, t))));
+        let owners: Vec<&str> = dispatched
             .iter()
             .filter_map(|&t| g.fns[t].key.owner.as_deref())
             .collect();
@@ -550,30 +449,51 @@ mod tests {
             owners.contains(&"Heap") && owners.contains(&"Wheel"),
             "{owners:?}"
         );
-        // And reachability flows through the dispatch into impl bodies.
-        let reach = g.reach_forward(&[drive]);
-        assert!(reach.contains(idx(&g, "heap_work")));
     }
 
     #[test]
     fn recursive_and_mutually_recursive_graphs_terminate() {
         let g = graph_of(&[(
             "crates/dcsim/src/engine.rs",
-            "fn ping() { pong(); }\n\
+            "pub fn step() { ping(); looper(); }\n\
+             fn ping() { pong(); }\n\
              fn pong() { ping(); }\n\
              fn looper() { looper(); helper(); }\n\
              fn helper() {}\n",
         )]);
-        let ping = idx(&g, "ping");
-        let reach = g.reach_forward(&[ping]);
+        let reach = g.reach(&g.hot_roots().all(), |_, _| true);
         assert!(reach.contains(idx(&g, "pong")));
-        assert!(reach.contains(ping));
         // Self-edges are dropped at build time; the cycle still terminates
         // and reaches past itself.
         let looper = idx(&g, "looper");
         assert!(!g.edges[looper].contains(&looper), "self-edge skipped");
-        let r2 = g.reach_forward(&[looper]);
-        assert!(r2.contains(idx(&g, "helper")));
+        assert!(reach.contains(idx(&g, "helper")));
+    }
+
+    #[test]
+    fn hot_roots_are_sim_nontest_drivers_and_event_roots_and_reach_obeys_follow() {
+        let g = graph_of(&[
+            (
+                "crates/dcsim/src/engine.rs",
+                "pub fn run() { prepare(); }\n\
+                 pub fn step() { shared(); }\n\
+                 fn prepare() { shared(); }\n\
+                 fn shared() {}\n\
+                 #[test]\n\
+                 fn run_with() {}\n",
+            ),
+            ("crates/metrics/src/lib.rs", "pub fn run() {}\n"),
+        ]);
+        let roots = g.hot_roots();
+        assert_eq!(
+            roots.run,
+            vec![idx(&g, "run")],
+            "test and support fns are no roots"
+        );
+        assert_eq!(roots.event, vec![idx(&g, "step")]);
+        let shared = idx(&g, "shared");
+        assert!(g.reach(&roots.all(), |_, _| true).contains(shared));
+        assert!(!g.reach(&roots.all(), |_, to| to != shared).contains(shared));
     }
 
     #[test]
@@ -584,8 +504,7 @@ mod tests {
              fn middle() { leaf(); }\n\
              fn leaf() {}\n",
         )]);
-        let roots = g.sim_fns_named(&["run"]);
-        let reach = g.reach_forward(&roots);
+        let reach = g.reach(&g.hot_roots().all(), |_, _| true);
         let w = g.witness(&reach, idx(&g, "leaf"));
         assert!(
             w.contains("run") && w.contains("middle") && w.contains("leaf"),

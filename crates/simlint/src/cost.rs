@@ -1,70 +1,32 @@
-//! Hot-path cost analysis: the A (allocation/cost) rule family.
+//! Hot-path cost analysis: rule A1.
 //!
-//! ROADMAP item 5 measured per-event overhead — boxing, transient `Vec`s,
-//! clones — overtaking algorithmic order on the incast cell. These rules
-//! find that cost statically, riding the v3 call graph: a forward walk
-//! from the engine hot roots marks every function whose body runs per
-//! event (or per run-loop iteration), and allocation facts recorded by
-//! the semantic walker ([`crate::sem`]) are reported inside that closure
-//! with a witness chain back to the root.
+//! Per-event overhead — boxing, transient `Vec`s, clones — was measured
+//! overtaking algorithmic order on the incast cell. A1 finds that cost
+//! statically on the call graph: the hot set — a pruned walk from
+//! [`CallGraph::hot_roots`] — marks every function whose body runs per
+//! event (or per run-loop iteration), and the allocation facts recorded
+//! by the semantic walker
+//! ([`crate::sem`]) are reported inside it with a witness chain back to
+//! the root: `Box::new`, growing `Vec`/`String`, `format!`, `.clone()`
+//! of heap-owning workspace types. Sites inside loops escalate (they
+//! allocate every iteration); `with_capacity`/`reserve` anywhere in the
+//! same function amortizes its `Vec` growth and silences those sites.
 //!
-//! - **A1** — heap allocation (`Box::new`, growing `Vec`/`String`,
-//!   `format!`, `.clone()` of heap-owning workspace types) reachable
-//!   from a hot root. Sites inside loops escalate (they allocate every
-//!   iteration); `with_capacity`/`reserve` anywhere in the same function
-//!   amortizes its `Vec` growth and suppresses those findings.
-//! - **A2** — boxed payloads in sim-scope event enums whose concrete
-//!   type the symbol table sizes at or under [`INLINE_LIMIT`] bytes:
-//!   the payload fits an inline variant (or a `Copy` slab handle).
-//! - **A3** — collect-then-iterate materialization on hot chains.
-//! - **A4** — struct parameters estimated above [`BYVAL_LIMIT`] bytes
-//!   passed by value across hot call edges.
-//!
-//! The walk does not descend into callees with constructor/builder names
-//! (`new`, `build*`, `with_*`, `from_*`, `setup*`, `init*`, `default`):
-//! their cost is amortized setup, not per-event traffic. Inside the
-//! once-per-run driver roots (`run`/`run_with`/`run_watched`) only sites
-//! inside loops fire — a one-shot allocation in a driver *is* setup.
+//! The pruning is A1's own and says nothing about what the hot paths can
+//! *touch* (P1 walks every edge): the walk does not descend into
+//! constructor/builder-named callees (their cost is amortized setup, not
+//! per-event traffic) or along name-only dispatch edges (a guess is too
+//! weak to call a site hot), and inside the once-per-run driver roots only
+//! sites inside loops fire — a one-shot allocation in a driver *is* setup.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
-use crate::ast::TypeRef;
-use crate::callgraph::{AllocKind, CallGraph, FnKey, Reach};
-use crate::sym::Symbols;
-use crate::{scope_of, Finding, Rule, Scope};
-
-/// Once-per-run driver roots: only per-iteration allocations fire here.
-const RUN_ROOTS: [&str; 3] = ["run", "run_with", "run_watched"];
-
-/// Per-event root selection. `step` and owner-qualified `handle` are the
-/// dispatcher; `push`/`pop` only count on scheduler-shaped owners (the
-/// bare names would match every `Vec` helper in the workspace), and
-/// `enqueue`/`dequeue` on any method owner (they are not std names).
-fn is_event_root(key: &FnKey) -> bool {
-    match key.name.as_str() {
-        "step" => true,
-        "handle" => key.owner.is_some(),
-        "push" | "pop" => key
-            .owner
-            .as_deref()
-            .is_some_and(|o| o.ends_with("Queue") || o.ends_with("Wheel")),
-        "enqueue" | "dequeue" => key.owner.is_some(),
-        _ => false,
-    }
-}
-
-/// Estimated byte size above which a by-value parameter is A4 material
-/// (one cache line; anything larger is a measurable per-call memcpy).
-pub const BYVAL_LIMIT: usize = 64;
-
-/// Estimated payload size at or below which a boxed event payload "fits
-/// an inline variant" (A2). Two cache lines: the event array slot cost
-/// is still far below a per-event allocator round-trip.
-pub const INLINE_LIMIT: usize = 128;
+use crate::callgraph::{AllocKind, CallGraph, HotRoots};
+use crate::{Finding, Rule};
 
 /// Callee names whose cost is amortized setup — the hot walk stops at
 /// them rather than descending.
-pub fn is_amortized(name: &str) -> bool {
+fn is_amortized(name: &str) -> bool {
     matches!(name, "new" | "default" | "build")
         || name.starts_with("with_")
         || name.starts_with("from_")
@@ -73,80 +35,24 @@ pub fn is_amortized(name: &str) -> bool {
         || name.starts_with("init")
 }
 
-/// Run every A rule over the linked graph and symbol table.
-pub fn check(g: &CallGraph, sym: &Symbols) -> Vec<Finding> {
+/// Run A1 over the linked graph.
+pub fn check(g: &CallGraph, roots: &HotRoots) -> Vec<Finding> {
+    let costly = |from: usize, to: usize| {
+        !g.fns[to].is_test
+            && !is_amortized(&g.fns[to].key.name)
+            && !g.name_only.contains(&(from, to))
+    };
+    let reach = g.reach(&roots.all(), costly);
+    // What only the run drivers reach is loop-gated: one-shot work there
+    // is setup, not per-event cost. Anything a per-event root reaches
+    // pays on every event.
+    let event_reach = g.reach(&roots.event, costly);
     let mut out = Vec::new();
-    let run_roots = g.sim_fns_named(&RUN_ROOTS);
-    let event_roots: Vec<usize> = (0..g.fns.len())
-        .filter(|&i| sim_nontest(g, i) && is_event_root(&g.fns[i].key))
-        .collect();
-    let mut roots = run_roots.clone();
-    roots.extend(&event_roots);
-    let reach = hot_reach(g, &roots);
-    // Loop-only gating applies to everything reachable *only* through the
-    // run drivers: one-shot allocations there are setup, not per-event
-    // cost. Anything a per-event root reaches pays on every event.
-    let event_reach = hot_reach(g, &event_roots);
-    let run_only: BTreeSet<usize> = reach
-        .parent
-        .keys()
-        .copied()
-        .filter(|&i| !event_reach.contains(i))
-        .collect();
-    check_a1(g, &reach, &run_only, &mut out);
-    check_a3(g, &reach, &run_only, &mut out);
-    check_a4(g, &reach, &run_only, &mut out);
-    check_a2(sym, &mut out);
-    // Distinct sites can collapse onto one line (nested `vec![..]`); one
-    // report per (line, rule, message) is enough.
-    let mut seen: BTreeSet<(String, usize, &'static str, String)> = BTreeSet::new();
-    out.retain(|f| seen.insert((f.path.clone(), f.line, f.rule.id(), f.message.clone())));
-    out
-}
-
-fn sim_nontest(g: &CallGraph, i: usize) -> bool {
-    !g.fns[i].is_test && g.scope(i) == Scope::Sim
-}
-
-/// Forward BFS from `roots` that refuses to enter test functions and
-/// amortized-setup callees, keeping parents for witness chains.
-fn hot_reach(g: &CallGraph, roots: &[usize]) -> Reach {
-    let mut parent: BTreeMap<usize, Option<usize>> = BTreeMap::new();
-    let mut queue: Vec<usize> = Vec::new();
-    for &r in roots {
-        if let std::collections::btree_map::Entry::Vacant(e) = parent.entry(r) {
-            e.insert(None);
-            queue.push(r);
-        }
-    }
-    let mut at = 0;
-    while at < queue.len() {
-        let cur = queue[at];
-        at += 1;
-        for &next in &g.edges[cur] {
-            if g.fns[next].is_test
-                || is_amortized(&g.fns[next].key.name)
-                || g.name_only.contains(&(cur, next))
-            {
-                continue;
-            }
-            if let std::collections::btree_map::Entry::Vacant(e) = parent.entry(next) {
-                e.insert(Some(cur));
-                queue.push(next);
-            }
-        }
-    }
-    Reach { parent }
-}
-
-// ----- A1: heap allocation on the hot path --------------------------------
-
-fn check_a1(g: &CallGraph, reach: &Reach, run_only: &BTreeSet<usize>, out: &mut Vec<Finding>) {
     for (i, f) in g.fns.iter().enumerate() {
-        if !reach.contains(i) || !sim_nontest(g, i) {
+        if !reach.contains(i) || !g.sim_nontest(i) {
             continue;
         }
-        let loop_gated = run_only.contains(&i);
+        let loop_gated = !event_reach.contains(i);
         for s in &f.alloc_sites {
             if loop_gated && !s.in_loop {
                 continue;
@@ -182,174 +88,26 @@ fn check_a1(g: &CallGraph, reach: &Reach, run_only: &BTreeSet<usize>, out: &mut 
                      (hot chain: {})",
                     s.what,
                     f.key.display(),
-                    g.witness(reach, i)
+                    g.witness(&reach, i)
                 ),
-                fix: s.fix.clone(),
             });
         }
     }
-}
-
-// ----- A2: boxed event payloads that fit inline ---------------------------
-
-/// The innermost `Box<T>` argument found anywhere in a payload type.
-fn find_box(ty: &TypeRef) -> Option<&TypeRef> {
-    match ty {
-        TypeRef::Path { segs, args } => {
-            if segs.last().is_some_and(|s| s == "Box") {
-                return args.first();
-            }
-            args.iter().find_map(find_box)
-        }
-        TypeRef::Tuple(ts) => ts.iter().find_map(find_box),
-        _ => None,
-    }
-}
-
-/// Render a payload type for diagnostics (`path::Last` → `Last`).
-fn type_name(ty: &TypeRef) -> String {
-    match ty {
-        TypeRef::Path { segs, .. } => segs.last().cloned().unwrap_or_else(|| "?".to_string()),
-        TypeRef::Ref(inner) => format!("&{}", type_name(inner)),
-        TypeRef::Tuple(_) => "(..)".to_string(),
-        TypeRef::Unit => "()".to_string(),
-        TypeRef::Other => "?".to_string(),
-    }
-}
-
-fn check_a2(sym: &Symbols, out: &mut Vec<Finding>) {
-    for (name, info) in &sym.enums {
-        if info.cfg_test || scope_of(&info.file) != Scope::Sim {
-            continue;
-        }
-        for (vi, payload) in info.payloads.iter().enumerate() {
-            let variant = match info.variants.get(vi) {
-                Some(v) => v,
-                None => continue,
-            };
-            for ty in payload {
-                let Some(inner) = find_box(ty) else { continue };
-                let inner_name = type_name(inner);
-                if inner_name == *name {
-                    continue; // recursive enum: boxing is the point
-                }
-                let known =
-                    sym.structs.contains_key(&inner_name) || sym.enums.contains_key(&inner_name);
-                let message = if known {
-                    let est = sym.est_size(inner, 0);
-                    if est > INLINE_LIMIT {
-                        continue; // genuinely large payload: boxing is justified
-                    }
-                    format!(
-                        "variant `{name}::{variant}` boxes its `{inner_name}` payload \
-                         (~{est} bytes estimated): one heap allocation + pointer chase \
-                         per event; it fits an inline variant — store it by value or \
-                         as a generation-indexed pool handle"
-                    )
-                } else {
-                    format!(
-                        "variant `{name}::{variant}` carries a boxed payload \
-                         `Box<{inner_name}>`: a per-event heap allocation; if this is \
-                         a trait object, enumerate the concrete payload types as \
-                         inline variants"
-                    )
-                };
-                out.push(Finding {
-                    path: info.file.clone(),
-                    line: info.line,
-                    col: 1,
-                    rule: Rule::A2,
-                    message,
-                    fix: None,
-                });
-            }
-        }
-    }
-}
-
-// ----- A3: collect-then-iterate on hot chains -----------------------------
-
-fn check_a3(g: &CallGraph, reach: &Reach, run_only: &BTreeSet<usize>, out: &mut Vec<Finding>) {
-    for (i, f) in g.fns.iter().enumerate() {
-        if !reach.contains(i) || !sim_nontest(g, i) {
-            continue;
-        }
-        let loop_gated = run_only.contains(&i);
-        for s in &f.collect_iters {
-            if loop_gated && !s.in_loop {
-                continue;
-            }
-            out.push(Finding {
-                path: f.path.clone(),
-                line: s.line,
-                col: 1,
-                rule: Rule::A3,
-                message: format!(
-                    "`{}` materializes an intermediate `Vec` with `.collect()` and \
-                     immediately re-iterates it ({}) on the engine hot path; fuse \
-                     the iterator chain instead (hot chain: {})",
-                    f.key.display(),
-                    s.method,
-                    g.witness(reach, i)
-                ),
-                fix: s.fix.clone(),
-            });
-        }
-    }
-}
-
-// ----- A4: large structs by value across hot call edges -------------------
-
-fn check_a4(g: &CallGraph, reach: &Reach, run_only: &BTreeSet<usize>, out: &mut Vec<Finding>) {
-    for (i, f) in g.fns.iter().enumerate() {
-        if !reach.contains(i) || !sim_nontest(g, i) {
-            continue;
-        }
-        // A once-per-run driver copying a config struct at entry is setup.
-        if run_only.contains(&i) {
-            continue;
-        }
-        for p in &f.byval_params {
-            out.push(Finding {
-                path: f.path.clone(),
-                line: f.line,
-                col: 1,
-                rule: Rule::A4,
-                message: format!(
-                    "`{}` takes `{}: {}` by value (~{} bytes estimated) on the \
-                     engine hot path — the struct is copied on every call; take \
-                     `&{}` instead (hot chain: {})",
-                    f.key.display(),
-                    p.name,
-                    p.ty,
-                    p.est_bytes,
-                    p.ty,
-                    g.witness(reach, i)
-                ),
-                fix: None,
-            });
-        }
-    }
+    // Distinct sites can collapse onto one line (nested `vec![..]`); one
+    // report per (line, message) is enough.
+    let mut seen: BTreeSet<(String, usize, String)> = BTreeSet::new();
+    out.retain(|f| seen.insert((f.path.clone(), f.line, f.message.clone())));
+    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{parse, sem, sym};
+    use crate::callgraph::graph_of;
 
     fn findings_of(srcs: &[(&str, &str)]) -> Vec<Finding> {
-        let parsed: Vec<(crate::ast::File, crate::lex::Lexed)> = srcs
-            .iter()
-            .map(|(p, s)| parse::parse_file(p, s).expect("test source parses"))
-            .collect();
-        let symbols = sym::Symbols::build(parsed.iter().map(|(f, _)| f));
-        let facts = srcs
-            .iter()
-            .zip(&parsed)
-            .map(|((_, s), (file, _))| sem::check_file_collect(file, s, &symbols).1)
-            .collect();
-        let g = CallGraph::build(facts);
-        check(&g, &symbols)
+        let g = graph_of(srcs);
+        check(&g, &g.hot_roots())
     }
 
     #[test]
@@ -402,6 +160,20 @@ mod tests {
     }
 
     #[test]
+    fn a1_does_not_follow_name_only_dispatch() {
+        // `r`'s type is unknown, so `r.refill()` resolves by name alone —
+        // too weak a reason to call `Pool::refill` hot.
+        let f = findings_of(&[(
+            "crates/dcsim/src/engine.rs",
+            "pub fn step() { let r = mystery(); r.refill(); }\n\
+             fn mystery() {}\n\
+             struct Pool;\n\
+             impl Pool { fn refill(&self) { let _b = Box::new(1u64); } }\n",
+        )]);
+        assert!(f.iter().all(|x| x.rule != Rule::A1), "{f:?}");
+    }
+
+    #[test]
     fn a1_escalates_loop_allocations_even_in_run_roots() {
         let f = findings_of(&[(
             "crates/dcsim/src/engine.rs",
@@ -431,63 +203,5 @@ mod tests {
              }\n",
         )]);
         assert!(f.iter().all(|x| x.rule != Rule::A1), "{f:?}");
-    }
-
-    #[test]
-    fn a2_fires_on_boxed_small_payload() {
-        let f = findings_of(&[(
-            "crates/netsim/src/network.rs",
-            "pub struct Pkt { pub a: u64, pub b: u64 }\n\
-             pub enum Event { Tick, Arrive { pkt: Box<Pkt> } }\n",
-        )]);
-        let a2: Vec<_> = f.iter().filter(|x| x.rule == Rule::A2).collect();
-        assert_eq!(a2.len(), 1, "{f:?}");
-        assert!(a2[0].message.contains("Event::Arrive"), "{}", a2[0].message);
-        assert!(a2[0].message.contains("16 bytes"), "{}", a2[0].message);
-    }
-
-    #[test]
-    fn a2_spares_recursive_and_large_payloads() {
-        let f = findings_of(&[(
-            "crates/netsim/src/network.rs",
-            "pub enum Tree { Leaf, Node(Box<Tree>) }\n\
-             pub struct Huge { pub a: [u8; 4096], pub b: u64, pub c: u64, pub d: u64,\n\
-                 pub e: u64, pub f: u64, pub g: u64, pub h: u64, pub i: u64,\n\
-                 pub j: u64, pub k: u64, pub l: u64, pub m: u64, pub n: u64,\n\
-                 pub o: u64, pub p: u64, pub q: u64, pub r: u64 }\n\
-             pub enum Ev { Big(Box<Huge>) }\n",
-        )]);
-        assert!(f.iter().all(|x| x.rule != Rule::A2), "{f:?}");
-    }
-
-    #[test]
-    fn a3_fires_with_fusion_fix() {
-        let f = findings_of(&[(
-            "crates/dcsim/src/engine.rs",
-            "pub fn step(xs: Vec<u64>) -> u64 {\n\
-                 let mut t = 0;\n\
-                 for x in xs.iter().map(|x| x + 1).collect::<Vec<u64>>().into_iter() {\n\
-                     t += x;\n\
-                 }\n\
-                 t\n\
-             }\n",
-        )]);
-        let a3: Vec<_> = f.iter().filter(|x| x.rule == Rule::A3).collect();
-        assert_eq!(a3.len(), 1, "{f:?}");
-        assert!(a3[0].fix.is_some(), "fusion fix attached: {a3:?}");
-    }
-
-    #[test]
-    fn a4_fires_on_large_byval_param() {
-        let f = findings_of(&[(
-            "crates/netsim/src/port.rs",
-            "pub struct Big { pub a: u64, pub b: u64, pub c: u64, pub d: u64,\n\
-                 pub e: u64, pub f: u64, pub g: u64, pub h: u64, pub i: u64 }\n\
-             pub fn step(b: Big) -> u64 { sink(b) }\n\
-             fn sink(b: Big) -> u64 { b.a }\n",
-        )]);
-        let a4: Vec<_> = f.iter().filter(|x| x.rule == Rule::A4).collect();
-        assert_eq!(a4.len(), 2, "root and callee both fire: {f:?}");
-        assert!(a4[0].message.contains("72 bytes"), "{}", a4[0].message);
     }
 }

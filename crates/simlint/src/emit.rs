@@ -1,9 +1,9 @@
-//! Machine-readable finding emitters: plain JSON and SARIF 2.1.0.
+//! Machine-readable finding emitter: SARIF 2.1.0.
 //!
-//! Both are hand-written string builders (the crate is dependency-free
-//! by design). The SARIF output is the minimal valid subset GitHub code
-//! scanning ingests: one run, one rule descriptor per distinct rule,
-//! one result per finding with a physical location.
+//! A hand-written string builder (the crate is dependency-free by
+//! design). The output is the minimal valid subset GitHub code scanning
+//! ingests: one run, one rule descriptor per distinct rule, one result
+//! per finding with a physical location.
 
 use crate::parse::ParseFailure;
 use crate::{Finding, Rule};
@@ -22,47 +22,6 @@ pub fn json_escape(s: &str) -> String {
             c => out.push(c),
         }
     }
-    out
-}
-
-/// Render findings as a JSON report:
-/// `{ "findings": [...], "parse_errors": [...], "files_scanned": N }`.
-pub fn to_json(findings: &[Finding], failures: &[ParseFailure], scanned: usize) -> String {
-    let mut out = String::from("{\n  \"findings\": [");
-    for (i, f) in findings.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "\n    {{\"path\": \"{}\", \"line\": {}, \"col\": {}, \"rule\": \"{}\", \
-             \"message\": \"{}\", \"fixable\": {}}}",
-            json_escape(&f.path),
-            f.line,
-            f.col,
-            f.rule.id(),
-            json_escape(&f.message),
-            f.fix.is_some(),
-        ));
-    }
-    if !findings.is_empty() {
-        out.push_str("\n  ");
-    }
-    out.push_str("],\n  \"parse_errors\": [");
-    for (i, e) in failures.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "\n    {{\"path\": \"{}\", \"line\": {}, \"message\": \"{}\"}}",
-            json_escape(&e.path),
-            e.line,
-            json_escape(&e.message),
-        ));
-    }
-    if !failures.is_empty() {
-        out.push_str("\n  ");
-    }
-    out.push_str(&format!("],\n  \"files_scanned\": {scanned}\n}}\n"));
     out
 }
 
@@ -89,7 +48,7 @@ pub fn to_sarif(findings: &[Finding], failures: &[ParseFailure]) -> String {
         out.push_str(&format!(
             "\n            {{\"id\": \"{}\", \"shortDescription\": {{\"text\": \"{}\"}}}}",
             r.id(),
-            json_escape(r.summary()),
+            json_escape(r.title()),
         ));
     }
     if !failures.is_empty() {
@@ -149,38 +108,24 @@ pub fn to_sarif(findings: &[Finding], failures: &[ParseFailure]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Finding, Fix, Rule};
+    use crate::{Finding, Rule};
 
     fn sample() -> Vec<Finding> {
         vec![Finding {
             path: "crates/dcsim/src/a.rs".into(),
             line: 3,
             col: 9,
-            rule: Rule::U2,
+            rule: Rule::U1,
             message: "escape with \"quotes\"".into(),
-            fix: Some(Fix {
-                span: crate::lex::Span { lo: 0, hi: 2 },
-                replacement: ".as_u64()".into(),
-            }),
         }]
-    }
-
-    #[test]
-    fn json_has_finding_fields_and_escapes() {
-        let j = to_json(&sample(), &[], 12);
-        assert!(j.contains("\"rule\": \"U2\""));
-        assert!(j.contains("\"line\": 3"));
-        assert!(j.contains("\"col\": 9"));
-        assert!(j.contains("\"fixable\": true"));
-        assert!(j.contains("escape with \\\"quotes\\\""));
-        assert!(j.contains("\"files_scanned\": 12"));
     }
 
     #[test]
     fn sarif_has_schema_rule_and_location() {
         let s = to_sarif(&sample(), &[]);
         assert!(s.contains("\"version\": \"2.1.0\""));
-        assert!(s.contains("\"ruleId\": \"U2\""));
+        assert!(s.contains("\"ruleId\": \"U1\""));
+        assert!(s.contains("escape with \\\"quotes\\\""));
         assert!(s.contains("\"startLine\": 3"));
         assert!(s.contains("\"startColumn\": 9"));
         // Exactly one rule descriptor for the one distinct rule.
@@ -201,8 +146,6 @@ mod tests {
 
     #[test]
     fn empty_reports_are_valid_shape() {
-        let j = to_json(&[], &[], 0);
-        assert!(j.contains("\"findings\": []"));
         let s = to_sarif(&[], &[]);
         assert!(s.contains("\"results\": [\n      ]"));
     }

@@ -1,35 +1,23 @@
-//! Interprocedural dataflow: the P (parallel-readiness) rule family.
+//! Interprocedural dataflow rules: P1 and P3.
 //!
-//! ROADMAP item 1 shards the engine across threads while keeping runs
-//! bit-reproducible. These rules flag, ahead of that PR, the patterns that
-//! survive single-threaded review but break determinism under concurrency:
+//! - **P1** — shared mutable statics / interior-mutability cells: state
+//!   that outlives a run and is shared across threads. Every such static
+//!   in sim code fires; one declared elsewhere fires when anything the
+//!   engine's hot roots can reach references it — over *every* call edge,
+//!   setup callees and name-only dispatch included (A1's cost pruning
+//!   says nothing about what state a run can touch).
+//! - **P3** — DetRng stream discipline: subsystem context propagates down
+//!   the call graph, so a helper that seeds a private `DetRng::new` three
+//!   calls below fault code is still caught.
 //!
-//! - **P1** — shared mutable statics / interior-mutability cells: racy or
-//!   ordering-dependent once two shards touch them.
-//! - **P2** — hash-container iteration whose results feed event scheduling
-//!   or metrics aggregation, found *through call chains*, not only at the
-//!   iteration site.
-//! - **P3** — DetRng stream discipline, generalized from D6's lexical
-//!   check: subsystem context propagates down the call graph, so a helper
-//!   that seeds a private `DetRng::new` three calls below fault code is
-//!   still caught.
-//! - **P4** — detected locally in [`crate::sem`] (heap ordering keyed by a
-//!   bare timestamp without a `(time, seq)` tiebreak).
-//! - **P5** — float accumulation whose operand order depends on hash
-//!   iteration, directly or via a call to an order-unstable producer.
-//!
-//! Everything here consumes the [`CallGraph`](crate::callgraph::CallGraph)
-//! built from the semantic walker's per-function facts; suppression and
-//! S1 staleness are applied later by the pipeline, which sees these
-//! findings alongside the per-file ones.
+//! Both consume the [`CallGraph`] built from the semantic walker's
+//! per-function facts; suppression and S1 staleness are applied later by
+//! the pipeline, which sees these findings alongside the per-file ones.
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use crate::callgraph::{CallGraph, StreamArg};
+use crate::callgraph::{CallGraph, HotRoots, StreamArg};
 use crate::{scope_of, Finding, Rule, Scope};
-
-/// Function names treated as engine hot-path roots for P1 reachability.
-const HOT_ROOTS: [&str; 4] = ["run", "run_with", "run_watched", "step"];
 
 /// Type names that carry interior mutability when they appear anywhere in
 /// a static's declared type.
@@ -96,23 +84,12 @@ fn fn_marker(name: &str) -> Option<u64> {
     None
 }
 
-fn file_name(path: &str) -> &str {
-    path.rsplit('/').next().unwrap_or(path)
-}
-
-/// Run every interprocedural P rule over the linked graph.
-pub fn check(g: &CallGraph) -> Vec<Finding> {
+/// Run both rules over the linked graph.
+pub fn check(g: &CallGraph, roots: &HotRoots) -> Vec<Finding> {
     let mut out = Vec::new();
-    check_p1(g, &mut out);
-    let taint = unstable_taint(g);
-    check_p2(g, &taint, &mut out);
+    check_p1(g, roots, &mut out);
     check_p3(g, &mut out);
-    check_p5(g, &taint, &mut out);
     out
-}
-
-fn sim_nontest(g: &CallGraph, i: usize) -> bool {
-    !g.fns[i].is_test && g.scope(i) == Scope::Sim
 }
 
 fn push(out: &mut Vec<Finding>, path: &str, line: usize, rule: Rule, message: String) {
@@ -122,15 +99,13 @@ fn push(out: &mut Vec<Finding>, path: &str, line: usize, rule: Rule, message: St
         col: 1,
         rule,
         message,
-        fix: None,
     });
 }
 
 // ----- P1: shared mutable global state -----------------------------------
 
-fn check_p1(g: &CallGraph, out: &mut Vec<Finding>) {
-    let roots = g.sim_fns_named(&HOT_ROOTS);
-    let hot = g.reach_forward(&roots);
+fn check_p1(g: &CallGraph, roots: &HotRoots, out: &mut Vec<Finding>) {
+    let hot = &g.reach(&roots.all(), |_, _| true);
 
     for s in &g.statics {
         if s.is_test || !(s.is_mut || s.interior) {
@@ -157,7 +132,7 @@ fn check_p1(g: &CallGraph, out: &mut Vec<Finding>) {
             let reach_note = match hot_ref {
                 Some((i, line)) => format!(
                     " It is reachable from an engine hot path: {} touches it at line {line}.",
-                    g.witness(&hot, i)
+                    g.witness(hot, i)
                 ),
                 None => String::new(),
             };
@@ -167,9 +142,10 @@ fn check_p1(g: &CallGraph, out: &mut Vec<Finding>) {
                 s.line,
                 Rule::P1,
                 format!(
-                    "`{}` is {what}: shared mutable global state becomes racy or \
-                     merge-order-dependent once the engine is sharded across threads; \
-                     thread the state through the simulation context instead.{reach_note}",
+                    "`{}` is {what}: shared mutable global state outlives a run and \
+                     is shared by every thread that simulates, so results depend on \
+                     what ran before and beside; thread the state through the \
+                     simulation context instead.{reach_note}",
                     s.name
                 ),
             );
@@ -182,172 +158,14 @@ fn check_p1(g: &CallGraph, out: &mut Vec<Finding>) {
                 format!(
                     "`{}` is {what} and is referenced from an engine hot path \
                      ({} at line {line}); shared mutable global state breaks \
-                     determinism under the parallel engine — thread it through \
-                     the simulation context instead.",
+                     run-to-run determinism — thread it through the simulation \
+                     context instead.",
                     s.name,
-                    g.witness(&hot, i)
+                    g.witness(hot, i)
                 ),
             );
         }
     }
-}
-
-// ----- order-instability taint (shared by P2/P5) --------------------------
-
-/// BFS up the reverse edges from every order-unstable producer. A caller
-/// that sorts (or collects into a BTree container) clears the taint and is
-/// not entered. `parent[i]` points one hop closer to a producer.
-struct Taint {
-    parent: BTreeMap<usize, Option<usize>>,
-    producers: BTreeSet<usize>,
-}
-
-impl Taint {
-    fn tainted(&self, i: usize) -> bool {
-        self.parent.contains_key(&i)
-    }
-
-    /// Render the chain from `i` down to the producer that taints it.
-    fn chain(&self, g: &CallGraph, i: usize) -> String {
-        let mut hops = vec![i];
-        let mut cur = self.parent.get(&i).copied().flatten();
-        let mut guard = 0;
-        while let Some(n) = cur {
-            hops.push(n);
-            cur = self.parent.get(&n).copied().flatten();
-            guard += 1;
-            if guard > g.fns.len() + 1 {
-                break;
-            }
-        }
-        hops.iter()
-            .map(|&h| {
-                let f = &g.fns[h];
-                format!("{} ({}:{})", f.key.display(), f.path, f.line)
-            })
-            .collect::<Vec<_>>()
-            .join(" → ")
-    }
-}
-
-fn unstable_taint(g: &CallGraph) -> Taint {
-    let mut parent: BTreeMap<usize, Option<usize>> = BTreeMap::new();
-    let mut producers = BTreeSet::new();
-    let mut queue = Vec::new();
-    for (i, f) in g.fns.iter().enumerate() {
-        if !f.unstable_iters.is_empty() && !f.sorts {
-            parent.insert(i, None);
-            producers.insert(i);
-            queue.push(i);
-        }
-    }
-    let mut at = 0;
-    while at < queue.len() {
-        let cur = queue[at];
-        at += 1;
-        for &caller in &g.redges[cur] {
-            if g.fns[caller].sorts {
-                continue;
-            }
-            if let std::collections::btree_map::Entry::Vacant(e) = parent.entry(caller) {
-                e.insert(Some(cur));
-                queue.push(caller);
-            }
-        }
-    }
-    Taint { parent, producers }
-}
-
-// ----- P2: unstable iteration feeding scheduling/metrics ------------------
-
-fn check_p2(g: &CallGraph, taint: &Taint, out: &mut Vec<Finding>) {
-    for (h, f) in g.fns.iter().enumerate() {
-        if !sim_nontest(g, h) || f.sorts {
-            continue;
-        }
-        let sched = !f.sched_sinks.is_empty();
-        let metric = !f.metric_sinks.is_empty();
-        if !sched && !metric {
-            continue;
-        }
-        let feeds = match (sched, metric) {
-            (true, true) => "event scheduling and metrics aggregation",
-            (true, false) => "event scheduling",
-            _ => "metrics aggregation",
-        };
-
-        // Local: this function iterates the hash container itself.
-        for u in &f.unstable_iters {
-            out.push(Finding {
-                path: f.path.clone(),
-                line: u.line,
-                col: 1,
-                rule: Rule::P2,
-                message: format!(
-                    "`{}` iterates a {} (RandomState order) and feeds {feeds}; \
-                     under the parallel engine the visit order is not reproducible — \
-                     use a BTree container or sort before consuming",
-                    f.key.display(),
-                    u.container
-                ),
-                fix: u.fix.clone(),
-            });
-        }
-
-        // Interprocedural: a call chain reaches an unstable producer.
-        let mut seen_lines = BTreeSet::new();
-        for (j, c) in f.calls.iter().enumerate() {
-            let Some(t) = g.call_targets[h][j]
-                .iter()
-                .copied()
-                .find(|&t| taint.tainted(t))
-            else {
-                continue;
-            };
-            if taint.producers.contains(&h) {
-                // Already reported at the local iteration site.
-                continue;
-            }
-            if !seen_lines.insert(c.line) {
-                continue;
-            }
-            let producer = &g.fns[chain_producer(taint, t)];
-            let iter_line = producer
-                .unstable_iters
-                .first()
-                .map(|u| u.line)
-                .unwrap_or(producer.line);
-            push(
-                out,
-                &f.path,
-                c.line,
-                Rule::P2,
-                format!(
-                    "`{}` feeds {feeds} with results of `{}`, which iterates a \
-                     hash container in RandomState order ({}:{iter_line}; chain: {}); \
-                     use a BTree container or sort before consuming",
-                    f.key.display(),
-                    g.fns[t].key.display(),
-                    producer.path,
-                    taint.chain(g, t)
-                ),
-            );
-        }
-    }
-}
-
-/// Follow taint parents from `i` to the producer at the end of the chain.
-fn chain_producer(taint: &Taint, i: usize) -> usize {
-    let mut cur = i;
-    let mut guard = 0;
-    while let Some(Some(next)) = taint.parent.get(&cur) {
-        cur = *next;
-        guard += 1;
-        if guard > taint.parent.len() + 1 {
-            break;
-        }
-    }
-    cur
 }
 
 // ----- P3: interprocedural DetRng stream discipline -----------------------
@@ -367,7 +185,7 @@ fn check_p3(g: &CallGraph, out: &mut Vec<Finding>) {
         if caps.len() >= 2 {
             return true;
         }
-        let distinct: BTreeSet<&StreamArg> = f.stream_calls.iter().map(|(a, ..)| a).collect();
+        let distinct: BTreeSet<&StreamArg> = f.stream_calls.iter().map(|(a, _)| a).collect();
         distinct.len() >= 2
     };
 
@@ -378,7 +196,7 @@ fn check_p3(g: &CallGraph, out: &mut Vec<Finding>) {
     let mut mixed: BTreeSet<usize> = BTreeSet::new();
     let mut queue = Vec::new();
     for (i, f) in g.fns.iter().enumerate() {
-        if !sim_nontest(g, i) || is_distributor(i) {
+        if !g.sim_nontest(i) || is_distributor(i) {
             continue;
         }
         if let Some(s) = fn_marker(&f.key.name) {
@@ -396,7 +214,7 @@ fn check_p3(g: &CallGraph, out: &mut Vec<Finding>) {
             continue;
         };
         for &callee in &g.edges[cur] {
-            if !sim_nontest(g, callee) || is_distributor(callee) || mixed.contains(&callee) {
+            if !g.sim_nontest(callee) || is_distributor(callee) || mixed.contains(&callee) {
                 continue;
             }
             if fn_marker(&g.fns[callee].key.name).is_some() {
@@ -434,18 +252,13 @@ fn check_p3(g: &CallGraph, out: &mut Vec<Finding>) {
     };
 
     for (i, f) in g.fns.iter().enumerate() {
-        if !sim_nontest(g, i) {
-            continue;
-        }
-        // Lexically-fault files are D6's jurisdiction; re-flagging every
-        // line there would only duplicate findings.
-        if file_name(&f.path).contains("fault") {
+        if !g.sim_nontest(i) {
             continue;
         }
         let fctx = ctx.get(&i).map(|(s, _)| *s);
 
         if let Some(s) = fctx {
-            for (line, _) in &f.rng_news {
+            for line in &f.rng_news {
                 push(
                     out,
                     &f.path,
@@ -464,12 +277,9 @@ fn check_p3(g: &CallGraph, out: &mut Vec<Finding>) {
             }
         }
 
-        for (arg, line, _) in &f.stream_calls {
+        for (arg, line) in &f.stream_calls {
             match arg {
                 StreamArg::Num(n) => {
-                    if fn_marker(&f.key.name) == Some(4) {
-                        continue; // D6 already polices fault-marked fns
-                    }
                     if let Some(s) = fctx {
                         if *n != s {
                             push(
@@ -528,62 +338,62 @@ fn check_p3(g: &CallGraph, out: &mut Vec<Finding>) {
     }
 }
 
-// ----- P5: order-unstable float reduction ---------------------------------
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::callgraph::graph_of;
 
-fn check_p5(g: &CallGraph, taint: &Taint, out: &mut Vec<Finding>) {
-    for (h, f) in g.fns.iter().enumerate() {
-        if !sim_nontest(g, h) || f.sorts {
-            continue;
-        }
-        for a in &f.float_accums {
-            if a.head_unstable {
-                push(
-                    out,
-                    &f.path,
-                    a.line,
-                    Rule::P5,
-                    format!(
-                        "float accumulation in `{}` iterates a hash container: \
-                         float addition is not associative, so the sum depends on \
-                         RandomState visit order; iterate a BTree container or \
-                         sort the operands first",
-                        f.key.display()
-                    ),
-                );
-                continue;
-            }
-            let hit = a.head_calls.iter().find_map(|&j| {
-                g.call_targets[h]
-                    .get(j)
-                    .into_iter()
-                    .flatten()
-                    .copied()
-                    .find(|&t| taint.tainted(t))
-            });
-            if let Some(t) = hit {
-                let producer = &g.fns[chain_producer(taint, t)];
-                let iter_line = producer
-                    .unstable_iters
-                    .first()
-                    .map(|u| u.line)
-                    .unwrap_or(producer.line);
-                push(
-                    out,
-                    &f.path,
-                    a.line,
-                    Rule::P5,
-                    format!(
-                        "float accumulation in `{}` reduces over `{}`, whose order \
-                         comes from a hash-container iteration ({}:{iter_line}; \
-                         chain: {}); float addition is not associative — sort the \
-                         operands or use an order-stable source",
-                        f.key.display(),
-                        g.fns[t].key.display(),
-                        producer.path,
-                        taint.chain(g, t)
-                    ),
-                );
-            }
-        }
+    fn p1_lines(srcs: &[(&str, &str)]) -> Vec<(String, usize)> {
+        let g = graph_of(srcs);
+        check(&g, &g.hot_roots())
+            .into_iter()
+            .filter(|f| f.rule == Rule::P1)
+            .map(|f| (f.path, f.line))
+            .collect()
+    }
+
+    const ENGINE: &str = "crates/dcsim/src/engine.rs";
+    const SUPPORT: &str = "crates/metrics/src/table.rs";
+
+    #[test]
+    fn p1_reaches_support_statics_through_setup_callees_and_untyped_receivers() {
+        // `init_table` is a name A1's walk treats as amortized setup, and
+        // `r.record_hit()` resolves by name only; P1 follows both.
+        let hits = p1_lines(&[
+            (
+                ENGINE,
+                "pub fn run() { init_table(); let r = mystery(); r.record_hit(); }\n\
+                 fn mystery() {}\n",
+            ),
+            (
+                SUPPORT,
+                "static TABLE: OnceLock<u64> = OnceLock::new();\n\
+                 static HITS: AtomicU64 = AtomicU64::new(0);\n\
+                 static UNREACHED: AtomicU64 = AtomicU64::new(0);\n\
+                 pub fn init_table() { TABLE.get_or_init(|| 7); }\n\
+                 pub struct Recorder;\n\
+                 impl Recorder {\n\
+                     pub fn record_hit(&self) { HITS.fetch_add(1, Ordering::Relaxed); }\n\
+                 }\n\
+                 pub fn cold() { UNREACHED.fetch_add(1, Ordering::Relaxed); }\n",
+            ),
+        ]);
+        assert_eq!(
+            hits,
+            vec![(SUPPORT.to_string(), 1), (SUPPORT.to_string(), 2)],
+            "both reached statics fire, the unreached one does not"
+        );
+    }
+
+    #[test]
+    fn p1_fires_on_every_sim_static_and_never_on_test_ones() {
+        let hits = p1_lines(&[(
+            ENGINE,
+            "static mut COUNT: u64 = 0;\n\
+             static FROZEN: u64 = 5;\n\
+             #[cfg(test)]\n\
+             mod tests { static SCRATCH: Mutex<u64> = Mutex::new(0); }\n",
+        )]);
+        assert_eq!(hits, vec![(ENGINE.to_string(), 1)]);
     }
 }

@@ -1,10 +1,8 @@
-//! Spanned token lexer for the semantic (v2) pass.
+//! The one lexer: every file is tokenized here exactly once per analysis.
 //!
-//! Unlike the v1 line-stripper in `lib.rs` — which only needs to blank out
-//! strings and collect comment text — the parser needs a real token stream
-//! with byte spans and line numbers, plus the comments as first-class
-//! records (suppression directives live in them, and the stale-allow fixer
-//! needs their exact spans to delete them).
+//! The token rules scan the stream directly and the parser shapes it into
+//! an AST, so tokens carry byte spans and line numbers; comments are kept
+//! as first-class records because the suppression directives live in them.
 //!
 //! Punctuation is emitted one character at a time with a `joint` flag
 //! (true when the next byte continues a multi-character operator), in the
@@ -121,12 +119,31 @@ pub struct Lexed {
     pub comments: Vec<Comment>,
     /// Indexed by 1-based line number; `[0]` is unused padding.
     pub line_has_code: Vec<bool>,
+    /// Byte offset at which each line starts; `[k]` is line `k + 1`.
+    pub line_starts: Vec<usize>,
+}
+
+impl Lexed {
+    /// 1-based (line, column) of a byte offset.
+    pub fn line_col(&self, pos: usize) -> (usize, usize) {
+        let line = self.line_starts.partition_point(|&s| s <= pos);
+        (line, pos - self.line_starts[line - 1] + 1)
+    }
+
+    /// Byte offset of the first byte of a 1-based line.
+    pub fn line_start(&self, line: usize) -> usize {
+        self.line_starts
+            .get(line.saturating_sub(1))
+            .copied()
+            .unwrap_or(0)
+    }
 }
 
 struct Lexer<'a> {
     src: &'a [u8],
     pos: usize,
     line: usize,
+    line_starts: Vec<usize>,
 }
 
 impl<'a> Lexer<'a> {
@@ -143,6 +160,7 @@ impl<'a> Lexer<'a> {
         self.pos += 1;
         if b == b'\n' {
             self.line += 1;
+            self.line_starts.push(self.pos);
         }
         Some(b)
     }
@@ -170,6 +188,7 @@ pub fn lex(src: &str) -> Result<Lexed, LexError> {
         src: src.as_bytes(),
         pos: 0,
         line: 1,
+        line_starts: vec![0],
     };
     let mut out = Lexed::default();
 
@@ -379,6 +398,7 @@ pub fn lex(src: &str) -> Result<Lexed, LexError> {
             out.line_has_code[t.line] = true;
         }
     }
+    out.line_starts = lx.line_starts;
     Ok(out)
 }
 
@@ -658,6 +678,15 @@ mod tests {
     fn unterminated_string_errors() {
         assert!(lex("let s = \"oops").is_err());
         assert!(lex("/* never closed").is_err());
+    }
+
+    #[test]
+    fn line_col_maps_offsets_back_to_positions() {
+        let src = "ab\ncd e\n";
+        let lexed = lex(src).expect("lexes");
+        assert_eq!(lexed.line_col(0), (1, 1));
+        assert_eq!(lexed.line_col(src.find('e').expect("present")), (2, 4));
+        assert_eq!(lexed.line_start(2), 3);
     }
 
     #[test]

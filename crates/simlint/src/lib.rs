@@ -1,29 +1,45 @@
 //! `simlint` — the workspace's determinism/invariant static-analysis pass.
 //!
-//! The paper's figures are reproducible only because every run is
-//! bit-deterministic. The golden-fingerprint tests catch a regression *after*
-//! it changed results; this crate prevents the usual sources from entering
-//! the tree at all. It is a hermetic, dependency-free line/token-level
-//! scanner in the spirit of the in-repo `minijson`: a small hand-rolled
-//! lexer strips string literals and comments, then per-line token rules
-//! flag constructs that are forbidden in simulation code.
+//! The paper's claims are paired comparisons on the same seeds, so every
+//! run must be bit-deterministic. The golden-fingerprint tests catch a
+//! regression *after* it changed results; this crate keeps the usual
+//! sources out of the tree in the first place. It is hermetic and
+//! dependency-free, in the spirit of the in-repo `minijson`.
+//!
+//! # Pipeline
+//!
+//! One pass over the file set, with one of everything:
+//!
+//! 1. [`lex`] tokenizes each file exactly once: tokens with lines and byte
+//!    spans, comments as first-class records (the `allow` directives live
+//!    in them).
+//! 2. [`parse`] shapes the tokens into a tolerant AST ([`ast`]). Only
+//!    lexer errors and unbalanced delimiters are fatal — such a file is
+//!    reported as a parse failure (exit code 2) and contributes no
+//!    findings; everything else degrades to opaque nodes.
+//! 3. [`sym`] builds the workspace symbol table from every parsed file.
+//! 4. Per-file checks: [`tokens`] scans the token stream (D1, D2, D4, D5
+//!    and P1's `thread_local!` prong — rules that need no types), and
+//!    [`sem`] walks the AST with local type inference ([`infer`]) for
+//!    U1, O1 and E1, recording per-function facts as it goes.
+//! 5. [`callgraph`] links those facts into a workspace call graph;
+//!    [`flow`] (P1, P3) and [`cost`] (A1) run on it and attach witness
+//!    chains from an engine hot root.
+//! 6. Suppression, once, over all findings of a file — then S1 reports
+//!    every `allow` that suppressed nothing or names no rule.
 //!
 //! # Rules
 //!
-//! | id | forbids | scope |
-//! |----|---------|-------|
-//! | D1 | `HashMap`/`HashSet` with the default `RandomState` hasher | sim crates |
-//! | D2 | wall-clock reads (`Instant`, `SystemTime`) | everywhere but `bench` |
-//! | D3 | ambient randomness (`thread_rng`, `rand::`, `getrandom`, `RandomState`) | everywhere |
-//! | D4 | lossy float→integer casts on time/byte quantities | sim crates, except `units.rs` |
-//! | D5 | `.unwrap()` / `.expect("")` without an invariant message | sim crates |
-//! | D6 | fault-injection randomness outside the dedicated `FAULT_STREAM` | sim crates |
+//! [`Rule::explain`] is the single source of the rule table
+//! (`cargo run -p simlint -- --explain [RULE]`). DESIGN.md records what
+//! each rule has caught and which guard replaced each retired rule.
 //!
-//! *Sim crates* are `dcsim`, `netsim`, `core` (faircc), `cc-*`, `fairsim`,
-//! and the workspace root's `src/`, `tests/`, and `examples/`. The support
-//! crates (`minijson`, `workloads`, `metrics`, `fluid`, `simlint` itself)
-//! and the timing harness (`bench`, which legitimately reads the wall
-//! clock) get the reduced rule set shown above.
+//! *Sim scope* is `dcsim`, `netsim`, `core` (faircc), `cc-*`, `fairsim`,
+//! `fleet`, `simtrace`, the workspace root's `src/`, `tests/` and
+//! `examples/`, and anything outside `crates/` (the benchmark, the
+//! self-test fixtures). The support crates (`minijson`, `workloads`,
+//! `metrics`, `fluid`, `simlint` itself) get D2 only; the figure harness
+//! (`bench`) may also read the wall clock.
 //!
 //! # Suppression
 //!
@@ -34,60 +50,18 @@
 //! let k = (us / interval).ceil() as usize; // simlint: allow(D4) — bounded count
 //! ```
 //!
-//! Multiple ids separate with commas: `simlint: allow(D1, D5)`.
+//! Multiple ids separate with commas: `simlint: allow(D1, D5)`. Doc
+//! comments are documentation, not directives.
 //!
 //! # Heuristics, stated plainly
 //!
-//! The D-family is a token scanner, not a type checker. D4 in particular
-//! flags a line only when an integer cast (`as u64` and friends)
-//! co-occurs with float evidence on the same line (`f64`/`f32` in any
-//! token, or a `.round()`/`.ceil()`/`.floor()` call). Casts split across
-//! lines can evade it; the runtime `sim-audit` layer is the backstop for
-//! what the scanner cannot see.
-//!
-//! # simlint v2: the semantic pass
-//!
-//! On top of the line scanner sits a symbol-aware pass: a hand-rolled,
-//! dependency-free recursive-descent parser ([`parse`]) for the Rust
-//! subset the workspace uses produces per-file ASTs ([`ast`]) plus a
-//! workspace symbol table ([`sym`]: struct fields, enum variants,
-//! operator impls, method signatures, use-paths). Local type inference
-//! with unit taint ([`infer`]) then powers three rule families
-//! ([`sem`]):
-//!
-//! | id | forbids | scope |
-//! |----|---------|-------|
-//! | U1 | arithmetic mixing `Nanos`/`Bytes`/`BitRate` with raw integers or each other (unless an operator impl exists) | sim crates, except `units.rs`/`time.rs` |
-//! | U2 | `.0` newtype escapes (use `.as_u64()`) | sim crates, except `units.rs`/`time.rs` |
-//! | U3 | raw-literal unit construction (`Nanos(80)`) | sim crates, non-test |
-//! | O1 | unchecked `+`/`*`/`+=` on u64 time/byte quantities | dcsim/netsim hot paths, non-test |
-//! | E1 | unguarded `_` arms in matches over workspace protocol enums | sim crates, non-test |
-//! | S1 | stale `simlint: allow(...)` comments that suppress nothing | everywhere |
-//!
-//! Only lexer errors and unbalanced delimiters are fatal (exit code 2);
-//! everything else degrades to opaque AST nodes, and every check fires
-//! only on positively identified types, so incomplete inference means
-//! silence rather than noise. Findings with mechanical rewrites carry a
-//! [`Fix`]; [`fix_source_set`]/[`fix_tree`] apply them to a fixpoint so
-//! `--fix` is idempotent. [`emit`] renders JSON and SARIF 2.1.0 for CI.
-//!
-//! # simlint v3/v4: the interprocedural passes
-//!
-//! The semantic walk also records per-function facts ([`callgraph`])
-//! linked into a workspace call graph. Two rule families ride it: the
-//! P family ([`flow`]) flags parallel-readiness hazards (shared mutable
-//! state, order-unstable iteration feeding scheduling/metrics, RNG
-//! stream discipline, bare-time heap keys, order-sensitive float
-//! accumulation), and the A family ([`cost`]) flags per-event cost —
-//! heap allocation reachable from the engine hot roots (A1), boxed
-//! event payloads that fit inline (A2), collect-then-iterate
-//! materialization (A3), and large by-value parameters on hot call
-//! edges (A4). P/A findings carry witness call chains from a hot root.
-//!
-//! Deliberate, justified allocations are managed by a committed ratchet
-//! file ([`Baseline`], `simlint --baseline FILE`): CI fails only on
-//! findings not present in the baseline, so the sweep can be staged
-//! without ever letting new cost regressions in.
+//! This is not a type checker. The token rules see spelling, not
+//! meaning: D4 flags an integer cast whose operand *visibly* involves a
+//! float (a literal, an `f64`/`f32` token, `.round()`/`.ceil()`/
+//! `.floor()`), so a float hidden behind a variable evades it. The
+//! semantic rules fire only on positively identified types, so
+//! incomplete inference means silence rather than noise. The runtime
+//! `sim-audit` layer is the backstop for what static analysis cannot see.
 
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
@@ -96,13 +70,13 @@ pub mod ast;
 pub mod callgraph;
 pub mod cost;
 pub mod emit;
-pub mod fix;
 pub mod flow;
 pub mod infer;
 pub mod lex;
 pub mod parse;
 pub mod sem;
 pub mod sym;
+pub mod tokens;
 
 use std::fmt;
 use std::fs;
@@ -112,73 +86,43 @@ use std::path::{Path, PathBuf};
 /// One of the determinism/invariant rules.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Rule {
-    /// Default-hasher `HashMap`/`HashSet` in sim crates.
+    /// Default-hasher `HashMap`/`HashSet`/`RandomState` in sim code.
     D1,
     /// Wall-clock reads outside `bench`.
     D2,
-    /// Ambient randomness anywhere.
-    D3,
-    /// Lossy float→integer casts on unit quantities outside `units.rs`.
+    /// Lossy float→integer casts outside `units.rs`.
     D4,
-    /// `.unwrap()` / empty-message `.expect()` in sim crates.
+    /// `.unwrap()` / empty-message `.expect()` in sim code.
     D5,
-    /// Fault-injection randomness not drawn from the dedicated stream.
-    D6,
     /// Arithmetic mixing unit newtypes with raw integers or each other.
     U1,
-    /// `.0` escapes of unit newtypes outside the unit-definition files.
-    U2,
-    /// Raw-literal unit construction outside the unit-definition files.
-    U3,
     /// Unchecked `+`/`*`/`+=` on u64 quantities in dcsim/netsim.
     O1,
     /// Wildcard `_` match arms over workspace protocol enums.
     E1,
-    /// Shared mutable state reachable from engine hot paths.
+    /// Shared mutable state in sim code or reachable from engine hot paths.
     P1,
-    /// Order-unstable iteration feeding event scheduling or metrics.
-    P2,
     /// DetRng stream discipline violated across call chains.
     P3,
-    /// Event heaps keyed by bare time with no sequence tiebreak.
-    P4,
-    /// Order-sensitive float accumulation in reduction positions.
-    P5,
     /// Heap allocation in functions reachable from engine hot roots.
     A1,
-    /// Boxed event payloads whose concrete types fit an inline variant.
-    A2,
-    /// Collect-then-iterate materialization on hot call chains.
-    A3,
-    /// Large structs passed by value across hot call edges.
-    A4,
-    /// Stale `simlint: allow(...)` comments that suppress nothing.
+    /// `simlint: allow(...)` comments that suppress nothing or name no rule.
     S1,
 }
 
 impl Rule {
     /// Every rule, in id order.
-    pub const ALL: [Rule; 21] = [
+    pub const ALL: [Rule; 11] = [
         Rule::D1,
         Rule::D2,
-        Rule::D3,
         Rule::D4,
         Rule::D5,
-        Rule::D6,
         Rule::U1,
-        Rule::U2,
-        Rule::U3,
         Rule::O1,
         Rule::E1,
         Rule::P1,
-        Rule::P2,
         Rule::P3,
-        Rule::P4,
-        Rule::P5,
         Rule::A1,
-        Rule::A2,
-        Rule::A3,
-        Rule::A4,
         Rule::S1,
     ];
 
@@ -187,357 +131,153 @@ impl Rule {
         match self {
             Rule::D1 => "D1",
             Rule::D2 => "D2",
-            Rule::D3 => "D3",
             Rule::D4 => "D4",
             Rule::D5 => "D5",
-            Rule::D6 => "D6",
             Rule::U1 => "U1",
-            Rule::U2 => "U2",
-            Rule::U3 => "U3",
             Rule::O1 => "O1",
             Rule::E1 => "E1",
             Rule::P1 => "P1",
-            Rule::P2 => "P2",
             Rule::P3 => "P3",
-            Rule::P4 => "P4",
-            Rule::P5 => "P5",
             Rule::A1 => "A1",
-            Rule::A2 => "A2",
-            Rule::A3 => "A3",
-            Rule::A4 => "A4",
             Rule::S1 => "S1",
         }
     }
 
-    /// The rule family letter (`'D'`, `'U'`, `'O'`, `'E'`, `'P'`, `'A'`,
-    /// `'S'`).
-    pub fn family(self) -> char {
-        self.id().chars().next().expect("rule ids are non-empty")
-    }
-
-    /// One-line description for `--explain` output.
-    pub fn summary(self) -> &'static str {
+    /// The rule table's single source: a title line (`ID — what`, also
+    /// the `--explain` table row and the SARIF short description), then
+    /// what the rule catches, where it applies, and how to fix findings.
+    pub fn explain(self) -> &'static str {
         match self {
             Rule::D1 => {
-                "std HashMap/HashSet iterate in RandomState order; use BTreeMap/BTreeSet \
-                 or an explicitly seeded hasher in sim crates"
-            }
-            Rule::D2 => {
-                "wall-clock reads (Instant/SystemTime) make sim logic time-dependent; \
-                 only the bench crate may time things"
-            }
-            Rule::D3 => {
-                "ambient randomness (thread_rng/rand::/getrandom/RandomState) breaks \
-                 seeded reproducibility; use dcsim::DetRng"
-            }
-            Rule::D4 => {
-                "float→integer casts on time/byte quantities truncate platform-sensitively; \
-                 route them through the allowlisted units.rs helpers"
-            }
-            Rule::D5 => {
-                ".unwrap()/.expect(\"\") hides the violated invariant; use a typed error \
-                 or .expect(\"why this cannot fail\")"
-            }
-            Rule::D6 => {
-                "fault-injection code must draw all randomness from the dedicated \
-                 FAULT_STREAM (netsim::fault::FAULT_STREAM); seeding a private DetRng \
-                 or borrowing streams 0-3 couples fault draws to the workload/ECMP/RED \
-                 sequences and breaks the zero-cost-when-off contract"
-            }
-            Rule::U1 => {
-                "arithmetic mixing Nanos/Bytes/BitRate with raw integers (or with each \
-                 other) bypasses unit safety; convert explicitly via named constructors \
-                 or .as_u64()"
-            }
-            Rule::U2 => {
-                ".0 escapes a unit newtype into an untyped u64 invisibly; \
-                 .as_u64() names the escape so it can be audited"
-            }
-            Rule::U3 => {
-                "raw-literal unit construction (Nanos(80)) bypasses the named \
-                 constructors that document the scale; use Nanos::from_ns / \
-                 Bytes::new / BitRate::from_bps or a unit constant"
-            }
-            Rule::O1 => {
-                "unchecked +/*/+= on u64 time/byte quantities in dcsim/netsim hot \
-                 paths can overflow silently; use saturating_*/checked_* or a \
-                 justified allow"
-            }
-            Rule::E1 => {
-                "a wildcard _ arm over a workspace protocol enum silently swallows \
-                 newly added variants; enumerate the variants explicitly"
-            }
-            Rule::P1 => {
-                "mutable statics and interior-mutability cells reachable from engine \
-                 hot paths become cross-thread shared state under the parallel engine; \
-                 thread the state through &mut instead"
-            }
-            Rule::P2 => {
-                "HashMap/HashSet iteration order feeds event scheduling or metrics \
-                 aggregation (possibly through call chains); shard merging then \
-                 depends on hasher state — use BTreeMap/BTreeSet or sort first"
-            }
-            Rule::P3 => {
-                "DetRng stream discipline violated across call chains: a subsystem \
-                 draws from another subsystem's stream or seeds a private generator, \
-                 so per-shard replay diverges; use the named *_STREAM constants"
-            }
-            Rule::P4 => {
-                "an event heap keyed by bare time has no pop order for equal \
-                 timestamps; the parallel merge needs a (time, seq) key with a \
-                 monotonic sequence number"
-            }
-            Rule::P5 => {
-                "float accumulation whose operand order depends on map iteration \
-                 rounds differently per run; sort the operands or accumulate in \
-                 integers"
-            }
-            Rule::A1 => {
-                "heap allocation (Box::new, growing Vec/String, format!, clone of \
-                 heap-owning types) in functions reachable from engine hot roots \
-                 dominates per-event cost at scale; pool, pre-size, or inline instead"
-            }
-            Rule::A2 => {
-                "a boxed event payload whose concrete type fits an inline enum \
-                 variant costs one heap round-trip per event; store the payload by \
-                 value or as a slab handle"
-            }
-            Rule::A3 => {
-                "collect-then-iterate materializes an intermediate Vec on a hot \
-                 chain; fuse the iterator chain instead"
-            }
-            Rule::A4 => {
-                "passing a large struct by value across a hot call edge copies it \
-                 on every call; pass a reference"
-            }
-            Rule::S1 => {
-                "a simlint: allow(...) comment that no longer suppresses anything is \
-                 dead weight and hides future findings; delete it"
-            }
-        }
-    }
-
-    /// Long-form explanation for `--explain RULE`: what the rule catches,
-    /// why it matters for the deterministic parallel engine, and how to fix
-    /// findings.
-    pub fn doc(self) -> &'static str {
-        match self {
-            Rule::D1 => {
-                "D1 — default-hasher containers in sim crates.\n\n\
+                "D1 — default-hasher containers in sim code.\n\n\
                  std's HashMap/HashSet seed their hasher from process entropy \
                  (RandomState), so iteration order differs between runs even with a \
-                 fixed sim seed. Any logic that observes that order is silently \
-                 nondeterministic.\n\n\
+                 fixed sim seed; any logic that observes that order is silently \
+                 nondeterministic. Naming RandomState itself is flagged too.\n\n\
+                 Scope: sim code. A line naming with_hasher/BuildHasher is taken to \
+                 seed its hasher explicitly.\n\n\
                  Fix: use BTreeMap/BTreeSet, or a HashMap with an explicitly seeded \
                  hasher if O(log n) is too slow."
             }
             Rule::D2 => {
                 "D2 — wall-clock reads outside bench.\n\n\
-                 Instant::now()/SystemTime::now() tie sim behavior to host timing. \
-                 Simulated time must come only from the event clock.\n\n\
-                 Fix: pass the sim clock in; only the bench crate may time things."
-            }
-            Rule::D3 => {
-                "D3 — ambient randomness.\n\n\
-                 thread_rng, rand::random, getrandom and RandomState draw from \
-                 process entropy, breaking seeded reproducibility.\n\n\
-                 Fix: draw from dcsim::DetRng, seeded from the scenario config."
+                 Instant/SystemTime tie sim behavior to host timing. Simulated time \
+                 must come only from the event clock.\n\n\
+                 Scope: everywhere but crates/bench.\n\n\
+                 Fix: pass the sim clock in; only harness code may time things, and \
+                 says so with an allow."
             }
             Rule::D4 => {
-                "D4 — lossy float→integer casts on unit quantities.\n\n\
+                "D4 — lossy float→integer casts.\n\n\
                  `as u64` on a float-valued time/byte expression truncates, and the \
-                 result can differ across platforms when the float computation does.\n\n\
-                 Fix: route conversions through the audited units.rs helpers, or \
-                 carry a justified allow with a reason."
+                 result can differ across platforms when the float computation does. \
+                 The cast is flagged when its operand visibly involves a float: a \
+                 float literal, an f64/f32 token, or .round()/.ceil()/.floor() — on \
+                 whichever lines the operand spans.\n\n\
+                 Scope: sim code, except units.rs (the audited conversion helpers).\n\n\
+                 Fix: route conversions through BitRate::from_bps_f64 / \
+                 Nanos::from_ns_f64, or carry an allow with the reason."
             }
             Rule::D5 => {
-                "D5 — unwrap/empty expect in sim crates.\n\n\
-                 .unwrap() hides which invariant was violated when it fires.\n\n\
+                "D5 — .unwrap() / .expect(\"\") in sim code.\n\n\
+                 .unwrap() hides which invariant was violated when it fires; an \
+                 empty expect message documents nothing.\n\n\
+                 Scope: sim code, tests included.\n\n\
                  Fix: return a typed error, or .expect(\"why this cannot fail\")."
-            }
-            Rule::D6 => {
-                "D6 — fault randomness off the dedicated stream.\n\n\
-                 Fault injection must draw all randomness from FAULT_STREAM \
-                 (netsim::fault) so that enabling faults does not perturb the \
-                 workload/ECMP/RED draw sequences (the zero-cost-when-off \
-                 contract).\n\n\
-                 Fix: derive the fault RNG via rng.stream(FAULT_STREAM); never seed \
-                 a private DetRng in fault code."
             }
             Rule::U1 => {
                 "U1 — unit-mixing arithmetic.\n\n\
-                 Adding Nanos to Bytes, or a unit newtype to a raw integer, bypasses \
-                 the type discipline the newtypes exist for.\n\n\
+                 Adding Nanos to Bytes, or a unit newtype to a raw integer without \
+                 an operator impl, bypasses the type discipline the newtypes exist \
+                 for; so does mixing u64s escaped from two different units.\n\n\
+                 Scope: sim code, except units.rs/time.rs.\n\n\
                  Fix: convert explicitly via named constructors or .as_u64() at an \
                  audited boundary."
-            }
-            Rule::U2 => {
-                "U2 — `.0` escapes of unit newtypes.\n\n\
-                 Tuple-field access turns a typed quantity into an anonymous u64 with \
-                 no searchable marker.\n\n\
-                 Fix: call .as_u64(); the auto-fix rewrites `.0` mechanically."
-            }
-            Rule::U3 => {
-                "U3 — raw-literal unit construction.\n\n\
-                 `Nanos(80)` does not say 80 of what scale. Named constructors do.\n\n\
-                 Fix: Nanos::from_ns/from_us/.., Bytes::new, BitRate::from_gbps, or \
-                 a named constant."
             }
             Rule::O1 => {
                 "O1 — unchecked u64 arithmetic in hot paths.\n\n\
                  dcsim/netsim hot paths multiply byte counts by rates; silent \
-                 wraparound corrupts schedules rather than crashing.\n\n\
+                 wraparound on +, *, += or *= corrupts schedules rather than \
+                 crashing.\n\n\
+                 Scope: dcsim/netsim non-test code, on u64s escaped from a unit \
+                 newtype (inside units.rs/time.rs: all integer + and *).\n\n\
                  Fix: saturating_*/checked_*, or an allow naming the bound that \
                  makes overflow impossible."
             }
             Rule::E1 => {
                 "E1 — wildcard arms over workspace protocol enums.\n\n\
-                 `_` arms compile on, silently mishandling variants added later to \
-                 workspace-owned enums (events, scheduler kinds, CC algorithms).\n\n\
+                 An unguarded `_` arm compiles on, silently mishandling variants \
+                 added later to workspace-owned enums (events, scheduler kinds, CC \
+                 algorithms).\n\n\
+                 Scope: sim code outside #[cfg(test)].\n\n\
                  Fix: enumerate the variants; the compiler then flags new ones."
             }
             Rule::P1 => {
-                "P1 — shared mutable state reachable from engine hot paths.\n\n\
-                 The planned parallel engine runs shards on worker threads. A \
-                 `static mut`, a static Cell/RefCell/Mutex/atomic, or thread_local! \
-                 state referenced from the run/step call graph either races or \
-                 (under locks/atomics) makes results depend on thread interleaving \
-                 — both break bit-identical replay.\n\n\
-                 Findings carry a witness call chain from a hot root (run/step) to \
-                 the referencing function.\n\n\
-                 Fix: thread the state through &mut self / function parameters so \
-                 each shard owns its copy; merge explicitly at barriers."
-            }
-            Rule::P2 => {
-                "P2 — order-unstable iteration feeding scheduling or metrics.\n\n\
-                 Iterating a HashMap/HashSet and scheduling events (or folding \
-                 metrics) in that order makes the event timeline depend on hasher \
-                 state. The interprocedural pass also catches chains: a helper \
-                 returns values gathered in hash order and the caller schedules \
-                 from them.\n\n\
-                 Fix: switch the container to BTreeMap/BTreeSet (the auto-fix \
-                 rewrites annotated local declarations) or sort before consuming. \
-                 Sorting anywhere on the chain clears the taint."
+                "P1 — shared mutable global state.\n\n\
+                 A `static mut`, a static Cell/RefCell/Mutex/OnceLock/atomic, or \
+                 thread_local! state is run-to-run state outside the simulation \
+                 context: it survives between runs in one process and makes results \
+                 depend on which thread ran what.\n\n\
+                 Scope: every such static declared in sim code, and any declared \
+                 elsewhere that the engine hot paths (run*/step, scheduler push/pop, \
+                 port enqueue/dequeue) reach; findings carry the witness call \
+                 chain.\n\n\
+                 Fix: thread the state through &mut self / function parameters."
             }
             Rule::P3 => {
                 "P3 — DetRng stream discipline across call chains.\n\n\
                  Each subsystem owns one stream: 0 workload, 1 ECMP, 2 RED, \
-                 3 feedback, 4 faults. A subsystem-marked function (or anything it \
-                 calls) constructing DetRng::new(seed) or calling .stream(n) with \
-                 the wrong n couples draw sequences between subsystems, so shards \
-                 replay differently when one subsystem's draw count changes.\n\n\
-                 D6 already polices fault code lexically; P3 generalizes the \
-                 discipline to every subsystem, interprocedurally. Functions that \
-                 legitimately distribute streams (naming a *_STREAM constant or \
-                 fanning out two or more streams) are exempt.\n\n\
+                 3 feedback, 4 faults. A subsystem-named function (fault, ecmp, \
+                 red, workload/arrival, feedback — or anything it calls) that \
+                 constructs DetRng::new(seed) or calls .stream(n) with another \
+                 subsystem's n couples draw sequences between subsystems, so \
+                 enabling one perturbs the others (the zero-cost-when-off \
+                 contract of fault injection). A raw `.stream(2)` is flagged \
+                 anywhere.\n\n\
+                 Scope: sim non-test code. Functions that fan out two or more \
+                 streams are distributors and exempt from subsystem context.\n\n\
                  Fix: accept a DetRng handle from the caller, and name streams via \
-                 the dcsim::rng *_STREAM constants instead of raw numbers."
-            }
-            Rule::P4 => {
-                "P4 — event heaps keyed by bare time.\n\n\
-                 BinaryHeap<Nanos> (or (Nanos, payload) with a non-integer second \
-                 element) has no defined pop order for equal timestamps. The \
-                 parallel engine merges per-shard queues by (time, seq); a heap \
-                 without the seq slot cannot take part.\n\n\
-                 Fix: key by (Nanos, u64, ..) with a monotonic sequence counter — \
-                 dcsim::EventQueue is the reference implementation. The auto-fix \
-                 inserts the u64 slot into annotated declarations."
-            }
-            Rule::P5 => {
-                "P5 — order-sensitive float accumulation.\n\n\
-                 Float addition is not associative; `sum += x` (or .fold(0.0, ..)) \
-                 over a HashMap iteration — directly or via a helper that gathers \
-                 in hash order — yields run-dependent low bits that compound in \
-                 fairness metrics.\n\n\
-                 Fix: iterate a BTree container, sort operands first, or accumulate \
-                 in integer units (Nanos/Bytes) and convert once at the end."
+                 the *_STREAM constants instead of raw numbers."
             }
             Rule::A1 => {
                 "A1 — heap allocation on the engine hot path.\n\n\
-                 The fat-tree runs dispatch millions of events; ROADMAP item 5 \
-                 measured per-event overhead (boxing, transient Vecs, clones) \
-                 overtaking algorithmic order on the incast cell. A1 walks the \
-                 call graph forward from the hot roots (run/run_with/run_watched/\
-                 step, scheduler push/pop, port enqueue/dequeue) and reports \
-                 Box::new, Vec construction and pushes without a reachable \
-                 capacity reservation, String/format! allocation, and .clone() \
-                 of heap-owning workspace types. Constructor/builder-named \
-                 callees (new/build*/with_*/from_*/setup*/init*/default) \
-                 terminate the walk — their cost is amortized setup — and in \
-                 once-per-run roots (run*) only allocations inside loops fire. \
-                 Sites inside loops escalate: they allocate every iteration.\n\n\
-                 Findings carry a witness chain from the hot root to the \
-                 allocating function.\n\n\
-                 Fix: allocate from a pool/slab (netsim::PacketPool), pre-size \
-                 with with_capacity/reserve (the auto-fix inserts a capacity \
-                 when the loop bound is a sized local), inline payloads, or \
-                 carry a justified allow / baseline entry for deliberate \
-                 one-time growth."
-            }
-            Rule::A2 => {
-                "A2 — boxed event payloads that fit inline.\n\n\
-                 A Box<T> payload in a sim-scope event enum costs one heap \
-                 allocation + pointer chase per event. When the symbol table \
-                 shows T is a small workspace type (est. <= 128 bytes), the \
-                 variant can hold T by value — or a Copy slab handle — and the \
-                 event queue stays allocation-free. Boxed trait objects are \
-                 flagged unconditionally: enumerate the concrete payload types \
-                 as inline variants.\n\n\
-                 Fix: store the payload by value, or replace the box with a \
-                 generation-indexed pool handle (see netsim::packet::PacketHandle)."
-            }
-            Rule::A3 => {
-                "A3 — collect-then-iterate on hot chains.\n\n\
-                 `.collect::<Vec<_>>()` followed by `.into_iter()`/`.iter()` (or \
-                 a for-loop over a fresh collect) materializes an intermediate \
-                 Vec only to walk it once — a transient allocation per call on \
-                 the hot path.\n\n\
-                 Fix: fuse the chain (the auto-fix deletes a type-sound \
-                 `.collect::<Vec<_>>().into_iter()` pair), or hoist the \
-                 materialization out of the hot path if the double walk is \
-                 intentional."
-            }
-            Rule::A4 => {
-                "A4 — large structs by value across hot call edges.\n\n\
-                 A parameter whose struct type the symbol table sizes above 64 \
-                 bytes is memcpy'd on every call; on per-event call chains that \
-                 is pure overhead.\n\n\
-                 Fix: take &T (or &mut T), or shrink the struct (slab handles \
-                 instead of inline buffers)."
+                 Fat-tree runs dispatch millions of events, and per-event boxing, \
+                 transient Vecs and clones were measured overtaking algorithmic \
+                 order. A1 walks the call graph forward from the hot roots \
+                 (run/run_with/run_watched, step, handle, scheduler push/pop, port \
+                 enqueue/dequeue) and reports Box::new, Vec construction and pushes \
+                 without a capacity reservation in the same function, \
+                 String/format! allocation, and .clone() of heap-owning types, \
+                 each with the witness chain from the root.\n\n\
+                 Scope: sim non-test code. Constructor-named callees \
+                 (new/build*/with_*/from_*/setup*/init*/default) end the walk — \
+                 amortized setup — and in once-per-run roots only allocations \
+                 inside loops fire.\n\n\
+                 Fix: allocate from a pool/slab (netsim::PacketPool), pre-size with \
+                 with_capacity/reserve, inline payloads, or carry an allow stating \
+                 why the growth is amortized."
             }
             Rule::S1 => {
-                "S1 — stale allows.\n\n\
-                 A `simlint: allow(RULE)` comment whose rule no longer fires on \
-                 that line suppresses nothing today and a real finding tomorrow.\n\n\
-                 Fix: delete it; the auto-fix does so mechanically."
+                "S1 — dead allow comments.\n\n\
+                 A `simlint: allow(RULE)` whose rule does not fire on the lines it \
+                 covers suppresses nothing today and a real finding tomorrow; one \
+                 naming an id that is not a rule (a typo, a retired rule) was never \
+                 a suppression at all.\n\n\
+                 Scope: every non-doc comment.\n\n\
+                 Fix: delete the comment or correct the id."
             }
         }
     }
 
-    /// Parse a rule id (used by suppression comments and `--rules`).
+    /// The title line of [`Rule::explain`].
+    pub fn title(self) -> &'static str {
+        self.explain().lines().next().unwrap_or_default()
+    }
+
+    /// Parse a rule id.
     pub fn parse(s: &str) -> Option<Rule> {
         let s = s.trim();
         Rule::ALL.into_iter().find(|r| r.id() == s)
-    }
-
-    /// Parse a `--rules` filter entry: a rule id (`U2`) or a family
-    /// letter (`U`). Returns every matching rule.
-    pub fn parse_filter(s: &str) -> Option<Vec<Rule>> {
-        let s = s.trim();
-        if let Some(r) = Rule::parse(s) {
-            return Some(vec![r]);
-        }
-        if s.len() == 1 {
-            let fam = s.chars().next().expect("len checked");
-            let rules: Vec<Rule> = Rule::ALL
-                .into_iter()
-                .filter(|r| r.family() == fam.to_ascii_uppercase())
-                .collect();
-            if !rules.is_empty() {
-                return Some(rules);
-            }
-        }
-        None
     }
 }
 
@@ -545,16 +285,6 @@ impl fmt::Display for Rule {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(self.id())
     }
-}
-
-/// A mechanical rewrite attached to a finding: replace the byte span
-/// with the replacement text.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Fix {
-    /// Byte range in the file's source text.
-    pub span: lex::Span,
-    /// Replacement text.
-    pub replacement: String,
 }
 
 /// One rule violation at a specific source location.
@@ -571,8 +301,26 @@ pub struct Finding {
     pub rule: Rule,
     /// Human-readable explanation.
     pub message: String,
-    /// Mechanical rewrite, when the finding has one (`--fix` applies it).
-    pub fix: Option<Fix>,
+}
+
+impl Finding {
+    /// A finding at byte offset `pos` of the lexed file.
+    pub(crate) fn at(
+        path: &str,
+        lexed: &lex::Lexed,
+        pos: usize,
+        rule: Rule,
+        message: String,
+    ) -> Finding {
+        let (line, col) = lexed.line_col(pos);
+        Finding {
+            path: path.to_string(),
+            line,
+            col,
+            rule,
+            message,
+        }
+    }
 }
 
 impl fmt::Display for Finding {
@@ -585,129 +333,15 @@ impl fmt::Display for Finding {
     }
 }
 
-/// A committed finding ratchet: known findings that are tolerated until
-/// the code they point at is swept, while anything *new* still fails.
-///
-/// The on-disk format is line-oriented and diff-friendly:
-///
-/// ```text
-/// # simlint baseline v1
-/// A1<TAB>crates/netsim/src/packet.rs<TAB>57<TAB>free-form note
-/// ```
-///
-/// Entries match findings by `(rule, path, line)` — moving a baselined
-/// site (or fixing it) invalidates the entry, which is the point of a
-/// ratchet: the file can only shrink without deliberate review.
-#[derive(Debug, Default, Clone)]
-pub struct Baseline {
-    entries: std::collections::BTreeSet<(String, String, usize)>,
-}
-
-impl Baseline {
-    /// Parse the on-disk format. Blank lines and `#` comments are
-    /// skipped; a malformed entry line is an error (a silently dropped
-    /// entry would un-suppress a finding with no explanation).
-    pub fn parse(text: &str) -> Result<Baseline, String> {
-        let mut entries = std::collections::BTreeSet::new();
-        for (n, line) in text.lines().enumerate() {
-            let line = line.trim_end();
-            if line.is_empty() || line.starts_with('#') {
-                continue;
-            }
-            let mut parts = line.splitn(4, '\t');
-            let (Some(rule), Some(path), Some(lno)) = (parts.next(), parts.next(), parts.next())
-            else {
-                return Err(format!(
-                    "baseline line {}: expected RULE<TAB>PATH<TAB>LINE[<TAB>note]",
-                    n + 1
-                ));
-            };
-            if Rule::parse(rule).is_none() {
-                return Err(format!("baseline line {}: unknown rule `{rule}`", n + 1));
-            }
-            let lno: usize = lno
-                .parse()
-                .map_err(|_| format!("baseline line {}: bad line number `{lno}`", n + 1))?;
-            entries.insert((rule.to_string(), path.to_string(), lno));
-        }
-        Ok(Baseline { entries })
-    }
-
-    /// Render a finding set in the on-disk format (used by
-    /// `--write-baseline`). The note column carries the first sentence
-    /// of the message for human review; it is ignored when parsing.
-    pub fn render(findings: &[Finding]) -> String {
-        let mut out = String::from("# simlint baseline v1\n");
-        let mut seen = std::collections::BTreeSet::new();
-        for f in findings {
-            if !seen.insert((f.rule.id(), f.path.as_str(), f.line)) {
-                continue;
-            }
-            let note: String = f
-                .message
-                .split([';', '\n'])
-                .next()
-                .unwrap_or("")
-                .chars()
-                .take(120)
-                .collect();
-            out.push_str(&format!(
-                "{}\t{}\t{}\t{}\n",
-                f.rule.id(),
-                f.path,
-                f.line,
-                note
-            ));
-        }
-        out
-    }
-
-    /// Whether a finding matches a baseline entry.
-    pub fn contains(&self, f: &Finding) -> bool {
-        self.entries
-            .contains(&(f.rule.id().to_string(), f.path.clone(), f.line))
-    }
-
-    /// Number of entries.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether the baseline has no entries.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Split findings into `(new, baselined)`.
-    pub fn split<'f>(&self, findings: &'f [Finding]) -> (Vec<&'f Finding>, Vec<&'f Finding>) {
-        findings.iter().partition(|f| !self.contains(f))
-    }
-
-    /// Entries no finding matches any more, as `(rule, path, line)`.
-    /// The ratchet treats these as errors: the swept code no longer
-    /// needs the entry, so the baseline must shrink with it.
-    pub fn stale(&self, findings: &[Finding]) -> Vec<(String, String, usize)> {
-        self.entries
-            .iter()
-            .filter(|(rule, path, line)| {
-                !findings
-                    .iter()
-                    .any(|f| f.rule.id() == rule && f.path == *path && f.line == *line)
-            })
-            .cloned()
-            .collect()
-    }
-}
-
 /// Which rule set a file gets, derived from its workspace path.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Scope {
     /// Full rule set: the deterministic simulation stack.
     Sim,
-    /// Support code (minijson, workloads, metrics, fluid, simlint): only the
-    /// workspace-wide rules D2 and D3.
+    /// Support code (minijson, workloads, metrics, fluid, simlint): D2,
+    /// plus P1 for statics the engine hot paths reach.
     Support,
-    /// The timing harness: D3 only (it exists to read the wall clock).
+    /// The figure harness: as `Support`, but it may read the wall clock.
     Bench,
 }
 
@@ -715,7 +349,8 @@ pub enum Scope {
 ///
 /// Anything not recognizably inside a support crate — including the root
 /// package's `src/`, `tests/`, and `examples/`, and out-of-tree files such
-/// as the self-test fixtures — gets the full sim rule set.
+/// as the benchmark and the self-test fixtures — gets the full sim rule
+/// set.
 pub fn scope_of(path: &str) -> Scope {
     let norm = path.replace('\\', "/");
     if let Some(rest) = norm.split("crates/").nth(1) {
@@ -729,572 +364,12 @@ pub fn scope_of(path: &str) -> Scope {
     Scope::Sim
 }
 
-/// A source line after lexing: executable code with string-literal contents
-/// replaced by placeholders, plus the concatenated comment text.
-#[derive(Debug, Default, Clone)]
-struct StrippedLine {
-    code: String,
-    comment: String,
-}
-
-/// Strip comments and string/char literal contents, preserving line
-/// structure. Non-empty string literals become `"s"`, empty ones stay
-/// `""` (so D5 can distinguish `.expect("")` from `.expect("msg")`).
-fn strip_source(src: &str) -> Vec<StrippedLine> {
-    let chars: Vec<char> = src.chars().collect();
-    let mut lines: Vec<StrippedLine> = vec![StrippedLine::default()];
-    let mut i = 0;
-
-    // Push a char to the current line's code, tracking newlines.
-    fn newline(lines: &mut Vec<StrippedLine>) {
-        lines.push(StrippedLine::default());
-    }
-
-    while i < chars.len() {
-        let c = chars[i];
-        let next = chars.get(i + 1).copied();
-
-        if c == '\n' {
-            newline(&mut lines);
-            i += 1;
-            continue;
-        }
-
-        // Comments.
-        if c == '/' && next == Some('/') {
-            let mut j = i + 2;
-            while j < chars.len() && chars[j] != '\n' {
-                j += 1;
-            }
-            let text: String = chars[i..j].iter().collect();
-            let last = lines.len() - 1;
-            lines[last].comment.push_str(&text);
-            i = j;
-            continue;
-        }
-        if c == '/' && next == Some('*') {
-            let mut depth = 1;
-            let mut j = i + 2;
-            let mut seg_start = i;
-            while j < chars.len() && depth > 0 {
-                if chars[j] == '/' && chars.get(j + 1) == Some(&'*') {
-                    depth += 1;
-                    j += 2;
-                } else if chars[j] == '*' && chars.get(j + 1) == Some(&'/') {
-                    depth -= 1;
-                    j += 2;
-                } else if chars[j] == '\n' {
-                    // Attribute the comment text line by line.
-                    let text: String = chars[seg_start..j].iter().collect();
-                    let last = lines.len() - 1;
-                    lines[last].comment.push_str(&text);
-                    newline(&mut lines);
-                    seg_start = j + 1;
-                    j += 1;
-                } else {
-                    j += 1;
-                }
-            }
-            let text: String = chars[seg_start..j.min(chars.len())].iter().collect();
-            let last = lines.len() - 1;
-            lines[last].comment.push_str(&text);
-            i = j;
-            continue;
-        }
-
-        // Raw / byte string literals: r"...", r#"..."#, b"...", br#"..."#.
-        let prev_is_ident = {
-            let last = lines.len() - 1;
-            lines[last]
-                .code
-                .chars()
-                .last()
-                .is_some_and(|p| p.is_alphanumeric() || p == '_')
-        };
-        if (c == 'r' || c == 'b') && !prev_is_ident {
-            let mut j = i + 1;
-            if c == 'b' && chars.get(j) == Some(&'r') {
-                j += 1;
-            }
-            let mut hashes = 0;
-            while chars.get(j) == Some(&'#') {
-                hashes += 1;
-                j += 1;
-            }
-            let is_raw = c == 'r' || (c == 'b' && chars.get(i + 1) == Some(&'r'));
-            if chars.get(j) == Some(&'"') && (is_raw || hashes == 0) {
-                // Scan to the closing quote (+ matching hashes for raw).
-                let body_start = j + 1;
-                let mut k = body_start;
-                loop {
-                    match chars.get(k) {
-                        None => break,
-                        Some('\n') => {
-                            newline(&mut lines);
-                            k += 1;
-                        }
-                        Some('\\') if !is_raw => k += 2,
-                        Some('"') => {
-                            let close = (1..=hashes).all(|h| chars.get(k + h) == Some(&'#'));
-                            if close {
-                                k += 1 + hashes;
-                                break;
-                            }
-                            k += 1;
-                        }
-                        Some(_) => k += 1,
-                    }
-                }
-                let nonempty = k > body_start + 1 + hashes;
-                let last = lines.len() - 1;
-                lines[last]
-                    .code
-                    .push_str(if nonempty { "\"s\"" } else { "\"\"" });
-                i = k;
-                continue;
-            }
-            // Not a literal prefix: plain identifier char.
-            let last = lines.len() - 1;
-            lines[last].code.push(c);
-            i += 1;
-            continue;
-        }
-
-        // Ordinary string literal.
-        if c == '"' {
-            let mut k = i + 1;
-            loop {
-                match chars.get(k) {
-                    None => break,
-                    Some('\\') => k += 2,
-                    Some('\n') => {
-                        newline(&mut lines);
-                        k += 1;
-                    }
-                    Some('"') => {
-                        k += 1;
-                        break;
-                    }
-                    Some(_) => k += 1,
-                }
-            }
-            let nonempty = k > i + 2;
-            let last = lines.len() - 1;
-            lines[last]
-                .code
-                .push_str(if nonempty { "\"s\"" } else { "\"\"" });
-            i = k;
-            continue;
-        }
-
-        // Char literal vs lifetime: 'x' or '\n' is a literal; 'a (no
-        // closing quote right after one char) is a lifetime.
-        if c == '\'' {
-            let is_char = matches!(
-                (chars.get(i + 1), chars.get(i + 2)),
-                (Some('\\'), _) | (Some(_), Some('\''))
-            );
-            if is_char {
-                let mut k = i + 1;
-                if chars.get(k) == Some(&'\\') {
-                    k += 2;
-                    // Skip extended escapes like '\u{1F600}'.
-                    while k < chars.len() && chars[k] != '\'' {
-                        k += 1;
-                    }
-                } else {
-                    k += 1;
-                }
-                if chars.get(k) == Some(&'\'') {
-                    k += 1;
-                }
-                let last = lines.len() - 1;
-                lines[last].code.push_str("' '");
-                i = k;
-                continue;
-            }
-        }
-
-        let last = lines.len() - 1;
-        lines[last].code.push(c);
-        i += 1;
-    }
-    lines
-}
-
-/// Whether `code` contains `word` as a standalone identifier.
-fn has_ident(code: &str, word: &str) -> bool {
-    find_ident(code, word).is_some()
-}
-
-/// Byte offset of the first standalone occurrence of identifier `word`.
-pub(crate) fn find_ident(code: &str, word: &str) -> Option<usize> {
-    let bytes = code.as_bytes();
-    let mut from = 0;
-    while let Some(pos) = code[from..].find(word) {
-        let at = from + pos;
-        let before_ok = at == 0 || {
-            let b = bytes[at - 1];
-            !(b.is_ascii_alphanumeric() || b == b'_')
-        };
-        let end = at + word.len();
-        let after_ok = end >= bytes.len() || {
-            let b = bytes[end];
-            !(b.is_ascii_alphanumeric() || b == b'_')
-        };
-        if before_ok && after_ok {
-            return Some(at);
-        }
-        from = at + word.len().max(1);
-    }
-    None
-}
-
-/// Whether `code` calls method `name` (an identifier preceded by `.` and
-/// followed, after whitespace, by `(`).
-fn has_method_call(code: &str, name: &str) -> bool {
-    let mut from = 0;
-    while let Some(at) = find_ident(&code[from..], name).map(|p| p + from) {
-        let before_dot = code[..at].trim_end().ends_with('.');
-        let after = code[at + name.len()..].trim_start();
-        if before_dot && after.starts_with('(') {
-            return true;
-        }
-        from = at + name.len();
-    }
-    false
-}
-
-/// Whether `code` contains `ident ::` (a path rooted at `ident`).
-fn has_path_root(code: &str, ident: &str) -> bool {
-    let mut from = 0;
-    while let Some(at) = find_ident(&code[from..], ident).map(|p| p + from) {
-        let after = code[at + ident.len()..].trim_start();
-        if after.starts_with("::") {
-            return true;
-        }
-        from = at + ident.len();
-    }
-    false
-}
-
-const INT_CAST_TARGETS: [&str; 10] = [
-    "u64", "u32", "u16", "u8", "usize", "i64", "i32", "i16", "i8", "isize",
-];
-
-/// D4 evidence: does the line cast to an integer type with `as`?
-fn has_int_cast(code: &str) -> bool {
-    let mut from = 0;
-    while let Some(at) = find_ident(&code[from..], "as").map(|p| p + from) {
-        let after = code[at + 2..].trim_start();
-        if INT_CAST_TARGETS.iter().any(|t| {
-            after.starts_with(t)
-                && !after[t.len()..].starts_with(|c: char| c.is_alphanumeric() || c == '_')
-        }) {
-            return true;
-        }
-        from = at + 2;
-    }
-    false
-}
-
-/// D4 evidence: does the line plausibly involve floating-point values?
-fn has_float_evidence(code: &str) -> bool {
-    code.contains("f64")
-        || code.contains("f32")
-        || has_method_call(code, "round")
-        || has_method_call(code, "ceil")
-        || has_method_call(code, "floor")
-        || has_float_literal(code)
-}
-
-/// Whether the line contains a float literal (`8.0`, `1_000.5`, `1e9`).
-/// Hex literals and tuple-field access (`self.0`) are excluded.
-fn has_float_literal(code: &str) -> bool {
-    let b = code.as_bytes();
-    let mut i = 0;
-    while i < b.len() {
-        if !b[i].is_ascii_digit() {
-            i += 1;
-            continue;
-        }
-        // A numeric token only counts when it starts one (not `x.0`, `id2`).
-        let prev_ok = i == 0 || {
-            let p = b[i - 1];
-            !(p.is_ascii_alphanumeric() || p == b'_' || p == b'.')
-        };
-        let start = i;
-        let mut j = i;
-        while j < b.len() && (b[j].is_ascii_alphanumeric() || b[j] == b'_' || b[j] == b'.') {
-            j += 1;
-        }
-        let tok = &b[start..j];
-        let hex = tok.len() > 1 && tok[0] == b'0' && (tok[1] == b'x' || tok[1] == b'X');
-        if prev_ok && !hex {
-            for (p, &c) in tok.iter().enumerate() {
-                let next_digit = tok.get(p + 1).is_some_and(|n| n.is_ascii_digit());
-                if c == b'.' && next_digit {
-                    return true; // 8.0 — not 1.max(2)
-                }
-                if (c == b'e' || c == b'E') && p > 0 && tok[p - 1].is_ascii_digit() && next_digit {
-                    return true; // 1e9
-                }
-            }
-        }
-        i = j;
-    }
-    false
-}
-
-/// D6 evidence: does the line reference a fault-injection identifier?
-/// Matched at the identifier level so `Default::default()` (which merely
-/// contains the letters "fault") never counts.
-fn has_fault_ident(code: &str) -> bool {
-    let mut chars = code.char_indices().peekable();
-    while let Some((start, c)) = chars.next() {
-        if !(c.is_alphabetic() || c == '_') {
-            continue;
-        }
-        let mut end = start + c.len_utf8();
-        while let Some(&(j, n)) = chars.peek() {
-            if n.is_alphanumeric() || n == '_' {
-                end = j + n.len_utf8();
-                chars.next();
-            } else {
-                break;
-            }
-        }
-        let ident = code[start..end].to_ascii_lowercase();
-        if ident.contains("fault") && !ident.contains("default") {
-            return true;
-        }
-    }
-    false
-}
-
-/// D6 evidence: a `.stream(<numeric literal>)` call — borrowing a stream
-/// by raw number instead of through the named `FAULT_STREAM` constant.
-fn has_numeric_stream_call(code: &str) -> bool {
-    let mut from = 0;
-    while let Some(at) = code[from..].find(".stream(").map(|p| p + from) {
-        let arg = code[at + ".stream(".len()..].trim_start();
-        if arg.starts_with(|c: char| c.is_ascii_digit()) {
-            return true;
-        }
-        from = at + ".stream(".len();
-    }
-    false
-}
-
-/// Parse `simlint: allow(D1, D4)` style suppressions out of comment text.
-fn parse_suppressions(comment: &str) -> Vec<Rule> {
-    let mut out = Vec::new();
-    let mut rest = comment;
-    while let Some(at) = rest.find("simlint: allow(") {
-        let args = &rest[at + "simlint: allow(".len()..];
-        if let Some(close) = args.find(')') {
-            for part in args[..close].split(',') {
-                if let Some(r) = Rule::parse(part) {
-                    out.push(r);
-                }
-            }
-            rest = &args[close..];
-        } else {
-            break;
-        }
-    }
-    out
-}
-
-/// v1 suppression map from stripped lines: `map[k]` holds the rules
-/// suppressed on 0-based line `k`.
-fn v1_suppression_map(lines: &[StrippedLine]) -> Vec<Vec<Rule>> {
-    let mut suppressed: Vec<Vec<Rule>> = vec![Vec::new(); lines.len() + 1];
-    for (k, line) in lines.iter().enumerate() {
-        let rules = parse_suppressions(&line.comment);
-        if rules.is_empty() {
-            continue;
-        }
-        suppressed[k].extend(rules.iter().copied());
-        if line.code.trim().is_empty() {
-            // Comment-only line: the suppression covers the next line too.
-            suppressed[k + 1].extend(rules.iter().copied());
-        }
-    }
-    suppressed
-}
-
-/// Scan one file's source text with the v1 line rules and apply its
-/// suppression comments. `display_path` drives both scope classification
-/// and the paths embedded in findings.
-pub fn scan_source(display_path: &str, src: &str) -> Vec<Finding> {
-    let lines = strip_source(src);
-    let suppressed = v1_suppression_map(&lines);
-    v1_scan_lines(display_path, &lines)
-        .into_iter()
-        .filter(|f| {
-            !suppressed
-                .get(f.line - 1)
-                .is_some_and(|sup| sup.contains(&f.rule))
-        })
-        .collect()
-}
-
-/// The v1 per-line token rules, without suppression (the pipeline
-/// applies allows across v1 and v2 findings together).
-fn v1_scan_lines(display_path: &str, lines: &[StrippedLine]) -> Vec<Finding> {
-    let scope = scope_of(display_path);
-    let file_name = Path::new(display_path)
-        .file_name()
-        .map(|f| f.to_string_lossy().into_owned())
-        .unwrap_or_default();
-
-    let mut findings = Vec::new();
-    let mut push = |k: usize, rule: Rule, message: String, _sup: &[Rule]| {
-        findings.push(Finding {
-            path: display_path.to_string(),
-            line: k + 1,
-            col: 1,
-            rule,
-            message,
-            fix: None,
-        });
-    };
-
-    for (k, line) in lines.iter().enumerate() {
-        let code = line.code.as_str();
-        if code.trim().is_empty() {
-            continue;
-        }
-        let sup: &[Rule] = &[];
-
-        // D1: default-hasher hash collections in sim code.
-        if scope == Scope::Sim
-            && (has_ident(code, "HashMap") || has_ident(code, "HashSet"))
-            && !has_ident(code, "with_hasher")
-            && !has_ident(code, "BuildHasher")
-        {
-            push(
-                k,
-                Rule::D1,
-                "HashMap/HashSet with the default RandomState hasher iterates in \
-                 nondeterministic order; use BTreeMap/BTreeSet or a seeded hasher"
-                    .into(),
-                sup,
-            );
-        }
-
-        // D2: wall-clock reads outside bench.
-        if scope != Scope::Bench && (has_ident(code, "Instant") || has_ident(code, "SystemTime")) {
-            push(
-                k,
-                Rule::D2,
-                "wall-clock access (Instant/SystemTime) in simulation code; \
-                 simulated time comes from the engine clock, timing belongs in crates/bench"
-                    .into(),
-                sup,
-            );
-        }
-
-        // D3: ambient randomness anywhere.
-        if has_ident(code, "thread_rng")
-            || has_ident(code, "getrandom")
-            || has_ident(code, "RandomState")
-            || has_path_root(code, "rand")
-        {
-            push(
-                k,
-                Rule::D3,
-                "ambient randomness (thread_rng/rand::/getrandom/RandomState); \
-                 all randomness must flow from a seeded dcsim::DetRng"
-                    .into(),
-                sup,
-            );
-        }
-
-        // D4: lossy float→int casts on unit quantities outside units.rs.
-        if scope == Scope::Sim
-            && file_name != "units.rs"
-            && has_int_cast(code)
-            && has_float_evidence(code)
-        {
-            push(
-                k,
-                Rule::D4,
-                "lossy float→integer cast on a unit quantity; use the allowlisted \
-                 units.rs helpers (BitRate::from_bps_f64 / Nanos::from_ns_f64)"
-                    .into(),
-                sup,
-            );
-        }
-
-        // D6: fault-injection randomness outside the dedicated stream. A
-        // line is in fault context when the file or the line names a
-        // fault identifier; within that context, seeding a private
-        // DetRng or grabbing a stream by raw number (instead of the
-        // named FAULT_STREAM constant) is flagged.
-        if scope == Scope::Sim
-            && (file_name.contains("fault") || has_fault_ident(code))
-            && !code.contains("FAULT_STREAM")
-            && (code.contains("DetRng::new") || has_numeric_stream_call(code))
-        {
-            push(
-                k,
-                Rule::D6,
-                "fault-injection randomness must come from the dedicated stream: \
-                 derive the RNG with .stream(FAULT_STREAM), never DetRng::new or a \
-                 raw stream number (streams 0-3 belong to workload/ECMP/RED/feedback)"
-                    .into(),
-                sup,
-            );
-        }
-
-        // P1 (lexical prong): `thread_local!` state in sim code — the
-        // declaration is a macro invocation the v2 parser skips, so it is
-        // caught here; statics go through the semantic pass.
-        if scope == Scope::Sim && has_ident(code, "thread_local") {
-            push(
-                k,
-                Rule::P1,
-                "thread_local! state gives every engine worker thread its own copy; \
-                 under the parallel engine results then depend on which thread ran \
-                 which shard — thread the state through &mut instead"
-                    .into(),
-                sup,
-            );
-        }
-
-        // D5: undocumented panics in sim code.
-        if scope == Scope::Sim {
-            if has_method_call(code, "unwrap") {
-                push(
-                    k,
-                    Rule::D5,
-                    ".unwrap() hides the invariant it relies on; use a typed error or \
-                     .expect(\"why this cannot fail\")"
-                        .into(),
-                    sup,
-                );
-            }
-            if code.contains(".expect(\"\")") {
-                push(
-                    k,
-                    Rule::D5,
-                    ".expect(\"\") documents nothing; state the invariant in the message".into(),
-                    sup,
-                );
-            }
-        }
-    }
-    findings
-}
-
 /// Directories never descended into during a tree walk.
 const SKIP_DIRS: [&str; 4] = ["target", ".git", "fixtures", "node_modules"];
 
 /// Recursively collect the `.rs` files under `root`, sorted for
 /// deterministic report order.
-pub fn collect_rust_files(root: &Path) -> io::Result<Vec<PathBuf>> {
+fn collect_rust_files(root: &Path) -> io::Result<Vec<PathBuf>> {
     let mut out = Vec::new();
     let mut stack = vec![root.to_path_buf()];
     while let Some(dir) = stack.pop() {
@@ -1315,13 +390,13 @@ pub fn collect_rust_files(root: &Path) -> io::Result<Vec<PathBuf>> {
     Ok(out)
 }
 
-/// The result of running the full v1+v2 pipeline over a set of files.
+/// The result of running the pipeline over a set of files.
 #[derive(Debug, Default)]
 pub struct Analysis {
     /// Post-suppression findings, sorted by (path, line, col, rule).
     pub findings: Vec<Finding>,
-    /// Files the v2 parser could not process (lexer error or unbalanced
-    /// delimiters); v1 rules still ran on these.
+    /// Files that could not be analyzed (lexer error or unbalanced
+    /// delimiters); they contribute no findings.
     pub parse_failures: Vec<parse::ParseFailure>,
     /// Number of files analyzed.
     pub scanned: usize,
@@ -1331,8 +406,12 @@ pub struct Analysis {
 struct AllowSite {
     line: usize,
     end_line: usize,
+    /// The listed ids that name a rule.
     rules: Vec<Rule>,
-    span: lex::Span,
+    /// The listed ids that do not.
+    unknown: Vec<String>,
+    /// Byte offset of the comment.
+    pos: usize,
     comment_only: bool,
     used: bool,
 }
@@ -1344,26 +423,45 @@ impl AllowSite {
     }
 }
 
+/// The ids listed by every `simlint: allow(D1, D4)` directive in a
+/// comment, as written.
+fn allow_ids(comment: &str) -> Vec<&str> {
+    let mut out = Vec::new();
+    let mut rest = comment;
+    while let Some(at) = rest.find("simlint: allow(") {
+        let args = &rest[at + "simlint: allow(".len()..];
+        let Some(close) = args.find(')') else { break };
+        out.extend(args[..close].split(',').map(str::trim));
+        rest = &args[close..];
+    }
+    out
+}
+
 /// Collect allow directives from lexed comments. Doc comments (`///`,
 /// `//!`) are documentation, not directives — example allow text inside
 /// them neither suppresses nor goes stale.
 fn allows_from_lexed(lexed: &lex::Lexed) -> Vec<AllowSite> {
     let mut out = Vec::new();
-    for c in &lexed.comments {
-        if c.doc {
-            continue;
-        }
-        let rules = parse_suppressions(&c.text);
-        if rules.is_empty() {
+    for c in lexed.comments.iter().filter(|c| !c.doc) {
+        let ids = allow_ids(&c.text);
+        if ids.is_empty() {
             continue;
         }
         let comment_only =
             (c.line..=c.end_line).all(|l| !lexed.line_has_code.get(l).copied().unwrap_or(false));
+        let (mut rules, mut unknown) = (Vec::new(), Vec::new());
+        for id in ids {
+            match Rule::parse(id) {
+                Some(r) => rules.push(r),
+                None => unknown.push(id.to_string()),
+            }
+        }
         out.push(AllowSite {
             line: c.line,
             end_line: c.end_line,
             rules,
-            span: c.span,
+            unknown,
+            pos: c.span.lo,
             comment_only,
             used: false,
         });
@@ -1371,117 +469,84 @@ fn allows_from_lexed(lexed: &lex::Lexed) -> Vec<AllowSite> {
     out
 }
 
-/// The span `--fix` deletes for a stale allow: the comment plus its
-/// leading inline whitespace, plus the trailing newline when the comment
-/// stands on lines of its own.
-fn stale_allow_deletion(src: &str, site: &AllowSite) -> lex::Span {
-    let bytes = src.as_bytes();
-    let mut lo = site.span.lo;
-    while lo > 0 && matches!(bytes[lo - 1], b' ' | b'\t') {
-        lo -= 1;
-    }
-    let mut hi = site.span.hi.min(src.len());
-    if site.comment_only && (lo == 0 || bytes[lo - 1] == b'\n') && bytes.get(hi) == Some(&b'\n') {
-        hi += 1;
-    }
-    lex::Span { lo, hi }
-}
-
-/// Run the full pipeline (v1 line rules, v2 semantic rules, shared
-/// suppression, S1 staleness) over an in-memory set of
-/// `(display_path, source)` files. The workspace symbol table is built
-/// from every file that parses, so cross-file type resolution works.
-pub fn analyze_files(files: &[(String, String)]) -> Analysis {
-    let mut parse_failures = Vec::new();
-    let mut parsed: Vec<Option<(ast::File, lex::Lexed)>> = Vec::with_capacity(files.len());
-    for (path, src) in files {
-        match parse::parse_file(path, src) {
-            Ok(p) => parsed.push(Some(p)),
-            Err(e) => {
-                parse_failures.push(e);
-                parsed.push(None);
+/// Drop the findings an allow covers, then report the dead allows (S1):
+/// unknown ids, and directives none of whose rules fired.
+fn apply_allows(path: &str, lexed: &lex::Lexed, raw: &mut Vec<Finding>) {
+    let mut allows = allows_from_lexed(lexed);
+    raw.retain(|f| {
+        let mut keep = true;
+        for a in allows.iter_mut() {
+            if a.covers(f.line) && a.rules.contains(&f.rule) {
+                a.used = true;
+                keep = false;
             }
         }
-    }
-    let ast_files: Vec<&ast::File> = parsed.iter().flatten().map(|(f, _)| f).collect();
-    let symbols = sym::Symbols::build(ast_files.iter().copied());
-
-    // Per-file pass: v1 line rules plus v2 semantic rules, collecting the
-    // call-graph facts the interprocedural pass consumes.
-    let mut raws: Vec<Vec<Finding>> = Vec::with_capacity(files.len());
-    let mut facts: Vec<callgraph::FileFacts> = Vec::new();
-    for ((path, src), parsed) in files.iter().zip(&parsed) {
-        let lines = strip_source(src);
-        let mut raw = v1_scan_lines(path, &lines);
-        if let Some((file, _)) = parsed {
-            let (sem_findings, file_facts) = sem::check_file_collect(file, src, &symbols);
-            raw.extend(sem_findings);
-            facts.push(file_facts);
+        keep
+    });
+    for a in &allows {
+        for id in &a.unknown {
+            let message = format!(
+                "`{id}` is not a simlint rule (`simlint --explain` lists them), so \
+                 this allow suppresses nothing; correct the id or delete it"
+            );
+            raw.push(Finding::at(path, lexed, a.pos, Rule::S1, message));
         }
+        if !a.used && !a.rules.is_empty() {
+            let ids: Vec<&str> = a.rules.iter().map(|r| r.id()).collect();
+            let message = format!(
+                "stale `simlint: allow({})` — it suppresses nothing on this or the \
+                 next line; delete it",
+                ids.join(", ")
+            );
+            raw.push(Finding::at(path, lexed, a.pos, Rule::S1, message));
+        }
+    }
+}
+
+/// Run the pipeline over an in-memory set of `(display_path, source)`
+/// files. `display_path` drives both scope classification and the paths
+/// embedded in findings. The workspace symbol table and call graph are
+/// built from every file that parses, so cross-file resolution works.
+pub fn analyze_files(files: &[(String, String)]) -> Analysis {
+    // Lex + parse, each file once.
+    let mut parse_failures = Vec::new();
+    let mut parsed: Vec<(ast::File, lex::Lexed)> = Vec::with_capacity(files.len());
+    for (path, src) in files {
+        match parse::parse_file(path, src) {
+            Ok(p) => parsed.push(p),
+            Err(e) => parse_failures.push(e),
+        }
+    }
+    let symbols = sym::Symbols::build(parsed.iter().map(|(f, _)| f));
+
+    // Per-file checks: token rules and semantic rules, collecting the
+    // call-graph facts the interprocedural pass consumes.
+    let mut raws: Vec<Vec<Finding>> = Vec::with_capacity(parsed.len());
+    let mut facts: Vec<callgraph::FileFacts> = Vec::with_capacity(parsed.len());
+    for (file, lexed) in &parsed {
+        let mut raw = tokens::check(&file.path, lexed);
+        let (sem_findings, file_facts) = sem::check_file(file, lexed, &symbols);
+        raw.extend(sem_findings);
         raws.push(raw);
+        facts.push(file_facts);
     }
 
-    // Interprocedural pass: workspace call graph + P-family flow rules
-    // and A-family cost rules. Runs before suppression so P/A findings
-    // can be allowed and S1 staleness accounts for them.
+    // Interprocedural pass over the workspace call graph. Runs before
+    // suppression so P/A findings can be allowed and S1 accounts for them.
     let graph = callgraph::CallGraph::build(facts);
-    for f in flow::check(&graph)
+    let roots = graph.hot_roots();
+    for f in flow::check(&graph, &roots)
         .into_iter()
-        .chain(cost::check(&graph, &symbols))
+        .chain(cost::check(&graph, &roots))
     {
-        if let Some(i) = files.iter().position(|(p, _)| p == &f.path) {
+        if let Some(i) = parsed.iter().position(|(file, _)| file.path == f.path) {
             raws[i].push(f);
         }
     }
 
-    // Suppression + S1 staleness, per file.
     let mut findings = Vec::new();
-    for (((path, src), parsed), mut raw) in files.iter().zip(&parsed).zip(raws) {
-        match parsed {
-            Some((_, lexed)) => {
-                let mut allows = allows_from_lexed(lexed);
-                raw.retain(|f| {
-                    let mut keep = true;
-                    for a in allows.iter_mut() {
-                        if a.covers(f.line) && a.rules.contains(&f.rule) {
-                            a.used = true;
-                            keep = false;
-                        }
-                    }
-                    keep
-                });
-                let index = sem::LineIndex::new(src);
-                for a in allows.iter().filter(|a| !a.used) {
-                    let (line, col) = index.line_col(a.span.lo);
-                    let ids: Vec<&str> = a.rules.iter().map(|r| r.id()).collect();
-                    raw.push(Finding {
-                        path: path.clone(),
-                        line,
-                        col,
-                        rule: Rule::S1,
-                        message: format!(
-                            "stale `simlint: allow({})` — it suppresses nothing on \
-                             this or the next line; delete it",
-                            ids.join(", ")
-                        ),
-                        fix: Some(Fix {
-                            span: stale_allow_deletion(src, a),
-                            replacement: String::new(),
-                        }),
-                    });
-                }
-            }
-            None => {
-                // Parser could not process the file: fall back to the v1
-                // suppression semantics and skip the S1 staleness check.
-                let suppressed = v1_suppression_map(&strip_source(src));
-                raw.retain(|f| {
-                    !suppressed
-                        .get(f.line - 1)
-                        .is_some_and(|sup| sup.contains(&f.rule))
-                });
-            }
-        }
+    for ((file, lexed), mut raw) in parsed.iter().zip(raws) {
+        apply_allows(&file.path, lexed, &mut raw);
         findings.extend(raw);
     }
 
@@ -1495,8 +560,8 @@ pub fn analyze_files(files: &[(String, String)]) -> Analysis {
     }
 }
 
-/// Read every `.rs` file under `root` into memory, with workspace-
-/// relative display paths.
+/// Read every `.rs` file under `root` into memory, with root-relative
+/// display paths.
 pub fn read_tree(root: &Path) -> io::Result<Vec<(String, String)>> {
     let mut out = Vec::new();
     for path in collect_rust_files(root)? {
@@ -1511,245 +576,102 @@ pub fn read_tree(root: &Path) -> io::Result<Vec<(String, String)>> {
     Ok(out)
 }
 
-/// Run the full pipeline over every `.rs` file under `root`.
+/// Run the pipeline over every `.rs` file under `root`.
 pub fn analyze_tree(root: &Path) -> io::Result<Analysis> {
     Ok(analyze_files(&read_tree(root)?))
-}
-
-/// Scan every `.rs` file under `root` with the full rule set.
-/// Returns `(findings, files_scanned)`; parse failures are reported via
-/// [`analyze_tree`], which this wraps.
-pub fn scan_tree(root: &Path) -> io::Result<(Vec<Finding>, usize)> {
-    let a = analyze_tree(root)?;
-    Ok((a.findings, a.scanned))
-}
-
-/// Apply every available fix across an in-memory file set, re-analyzing
-/// between passes until no applicable fix remains (nested findings need
-/// more than one splice). Returns the number of fixes applied.
-pub fn fix_source_set(files: &mut [(String, String)]) -> usize {
-    let mut total = 0;
-    for _ in 0..8 {
-        let analysis = analyze_files(files);
-        let mut pass = 0;
-        for (path, src) in files.iter_mut() {
-            let per_file: Vec<&Finding> = analysis
-                .findings
-                .iter()
-                .filter(|f| &f.path == path && f.fix.is_some())
-                .collect();
-            if per_file.is_empty() {
-                continue;
-            }
-            let fixes: Vec<&Fix> = per_file.iter().filter_map(|f| f.fix.as_ref()).collect();
-            let (new_src, n) = fix::apply_fixes(src, &fixes);
-            if n > 0 {
-                *src = new_src;
-                pass += n;
-            }
-        }
-        total += pass;
-        if pass == 0 {
-            break;
-        }
-    }
-    total
-}
-
-/// Result of [`fix_tree`].
-#[derive(Debug, Default)]
-pub struct FixReport {
-    /// Total fixes applied across all passes.
-    pub applied: usize,
-    /// Display paths of the files rewritten.
-    pub files: Vec<String>,
-}
-
-/// Apply every available fix to the tree under `root`, writing changed
-/// files back to disk.
-pub fn fix_tree(root: &Path) -> io::Result<FixReport> {
-    let original = read_tree(root)?;
-    let mut files = original.clone();
-    let applied = fix_source_set(&mut files);
-    let mut report = FixReport {
-        applied,
-        files: Vec::new(),
-    };
-    for ((display, new_src), (_, old_src)) in files.iter().zip(&original) {
-        if new_src != old_src {
-            fs::write(root.join(display), new_src)?;
-            report.files.push(display.clone());
-        }
-    }
-    Ok(report)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn findings_in(path: &str, src: &str) -> Vec<Finding> {
+        let a = analyze_files(&[(path.to_string(), src.to_string())]);
+        assert!(a.parse_failures.is_empty(), "{:?}", a.parse_failures);
+        a.findings
+    }
+
     fn rules_in(path: &str, src: &str) -> Vec<Rule> {
-        let mut r: Vec<Rule> = scan_source(path, src).into_iter().map(|f| f.rule).collect();
+        let mut r: Vec<Rule> = findings_in(path, src).into_iter().map(|f| f.rule).collect();
         r.sort();
         r.dedup();
         r
     }
 
     #[test]
-    fn strings_and_comments_are_stripped() {
-        let src = "let x = \"HashMap Instant .unwrap()\"; // HashMap in comment\n";
-        assert!(rules_in("crates/dcsim/src/a.rs", src).is_empty());
-    }
-
-    #[test]
-    fn raw_strings_are_stripped() {
-        let src = "let x = r#\"thread_rng HashSet\"#;\nlet y = b\"Instant\";\n";
-        assert!(rules_in("crates/dcsim/src/a.rs", src).is_empty());
-    }
-
-    #[test]
-    fn multiline_strings_and_block_comments_keep_line_numbers() {
-        let src = "let s = \"line one\nline two\";\n/* block\n comment */\nlet m: HashMap<u32, u32> = HashMap::new();\n";
-        let f = scan_source("crates/netsim/src/a.rs", src);
-        assert_eq!(f.len(), 1);
-        assert_eq!(f[0].rule, Rule::D1);
-        assert_eq!(f[0].line, 5);
-    }
-
-    #[test]
-    fn lifetimes_are_not_char_literals() {
-        // A naive char-literal scanner would swallow from 'a to the next
-        // quote and hide the HashMap behind it.
-        let src = "fn f<'a>(x: &'a u32) {}\nlet m = HashMap::new();\n";
-        let f = scan_source("crates/dcsim/src/a.rs", src);
-        assert_eq!(f.len(), 1);
-        assert_eq!(f[0].line, 2);
-    }
-
-    #[test]
-    fn d1_seeded_hasher_is_allowed() {
-        let src = "let m: HashMap<u32, u32, S> = HashMap::with_hasher(seeded);\n";
-        assert!(rules_in("crates/dcsim/src/a.rs", src).is_empty());
-    }
-
-    #[test]
-    fn d1_only_in_sim_scope() {
-        let src = "use std::collections::HashMap;\n";
-        assert_eq!(rules_in("crates/dcsim/src/a.rs", src), vec![Rule::D1]);
-        assert_eq!(rules_in("tests/foo.rs", src), vec![Rule::D1]);
-        assert!(rules_in("crates/minijson/src/lib.rs", src).is_empty());
-    }
-
-    #[test]
-    fn d2_everywhere_but_bench() {
-        let src = "let t0 = Instant::now();\n";
-        assert_eq!(rules_in("crates/dcsim/src/engine.rs", src), vec![Rule::D2]);
-        assert_eq!(rules_in("crates/workloads/src/lib.rs", src), vec![Rule::D2]);
-        assert!(rules_in("crates/bench/src/lib.rs", src).is_empty());
-    }
-
-    #[test]
-    fn d3_everywhere_including_bench() {
-        let src = "let r = rand::thread_rng();\n";
-        let got = rules_in("crates/bench/src/lib.rs", src);
-        assert_eq!(got, vec![Rule::D3]);
-    }
-
-    #[test]
-    fn d3_detrng_is_fine() {
-        let src = "let mut rng = DetRng::new(7); let v = rng.below(10);\n";
-        assert!(rules_in("crates/dcsim/src/a.rs", src).is_empty());
-    }
-
-    #[test]
-    fn d6_flags_private_fault_rngs_and_raw_streams() {
-        // Fault context from the line's identifiers…
-        let src = "let fault_rng = DetRng::new(seed);\n";
-        assert_eq!(
-            rules_in("crates/netsim/src/network.rs", src),
-            vec![Rule::D6]
-        );
-        // …or from the file name, even when the line says nothing faulty.
-        let src = "let rng = DetRng::new(7);\n";
-        assert_eq!(rules_in("crates/netsim/src/fault.rs", src), vec![Rule::D6]);
-        // Borrowing a stream by raw number in fault context.
-        let src = "let fault_rng = root.stream(2);\n";
-        assert_eq!(
-            rules_in("crates/netsim/src/network.rs", src),
-            vec![Rule::D6]
-        );
-        // The named constant is the sanctioned path.
-        let ok = "let fault_rng = root.stream(FAULT_STREAM);\n";
-        assert!(rules_in("crates/netsim/src/network.rs", ok).is_empty());
-        // `Default::default()` is not fault context.
-        let ok = "let cfg = NetConfig::default(); let rng = DetRng::new(1);\n";
-        assert!(rules_in("crates/netsim/src/network.rs", ok).is_empty());
-        // Non-fault code may stream by number (D6 stays out of the way).
-        let ok = "let red_rng = root.stream(2);\n";
-        assert!(rules_in("crates/netsim/src/network.rs", ok).is_empty());
-    }
-
-    #[test]
-    fn d4_flags_float_casts_and_allows_units_rs() {
-        let src = "let r = BitRate((x * 8.0 / secs).round() as u64);\n";
-        assert_eq!(rules_in("crates/core/src/cc.rs", src), vec![Rule::D4]);
-        assert!(rules_in("crates/dcsim/src/units.rs", src).is_empty());
-        // Integer-only casts carry no float evidence.
-        let ok = "let slot = (t >> shift) as usize;\n";
-        assert!(rules_in("crates/dcsim/src/wheel.rs", ok).is_empty());
-    }
-
-    #[test]
-    fn d5_unwrap_flagged_expect_with_message_ok() {
-        assert_eq!(
-            rules_in("crates/netsim/src/port.rs", "let v = x.unwrap();\n"),
-            vec![Rule::D5]
-        );
-        assert_eq!(
-            rules_in("crates/netsim/src/port.rs", "let v = x.expect(\"\");\n"),
-            vec![Rule::D5]
-        );
-        assert!(rules_in(
-            "crates/netsim/src/port.rs",
-            "let v = x.expect(\"backlog checked above\");\n"
-        )
-        .is_empty());
-        // unwrap_or and friends are fine.
-        assert!(rules_in(
-            "crates/netsim/src/port.rs",
-            "let v = x.unwrap_or(0); let w = y.unwrap_or_else(f);\n"
-        )
-        .is_empty());
+    fn every_rule_has_a_title_and_round_trips_its_id() {
+        for r in Rule::ALL {
+            assert!(r.title().starts_with(r.id()), "{}", r.title());
+            assert!(r.explain().contains("Fix:"), "{r} explains its fix");
+            assert_eq!(Rule::parse(r.id()), Some(r));
+        }
+        assert_eq!(Rule::parse("D6"), None, "retired ids are not rules");
     }
 
     #[test]
     fn suppression_same_line_and_line_above() {
-        let same = "let k = x.ceil() as usize; // simlint: allow(D4) — bounded count\n";
+        let same = "fn f(x: f64) { let k = x.ceil() as usize; } // simlint: allow(D4) — bounded\n";
         assert!(rules_in("crates/fairsim/src/a.rs", same).is_empty());
-        let above = "// simlint: allow(D4) — bounded count\nlet k = x.ceil() as usize;\n";
+        let above =
+            "// simlint: allow(D4) — bounded count\nfn f(x: f64) { let k = x.ceil() as usize; }\n";
         assert!(rules_in("crates/fairsim/src/a.rs", above).is_empty());
-        // The wrong rule id does not suppress.
-        let wrong = "let k = x.ceil() as usize; // simlint: allow(D1)\n";
-        assert_eq!(rules_in("crates/fairsim/src/a.rs", wrong), vec![Rule::D4]);
+        // The wrong rule id does not suppress (and is itself stale).
+        let wrong = "fn f(x: f64) { let k = x.ceil() as usize; } // simlint: allow(D1)\n";
+        assert_eq!(
+            rules_in("crates/fairsim/src/a.rs", wrong),
+            vec![Rule::D4, Rule::S1]
+        );
         // A suppression only reaches one line down.
-        let far = "// simlint: allow(D4)\n\nlet k = x.ceil() as usize;\n";
-        assert_eq!(rules_in("crates/fairsim/src/a.rs", far), vec![Rule::D4]);
+        let far = "// simlint: allow(D4)\n\nfn f(x: f64) { let k = x.ceil() as usize; }\n";
+        assert_eq!(
+            rules_in("crates/fairsim/src/a.rs", far),
+            vec![Rule::D4, Rule::S1]
+        );
     }
 
     #[test]
     fn suppression_lists_multiple_rules() {
-        let src = "let m = HashMap::new(); let v = m.get(&k).unwrap(); // simlint: allow(D1, D5)\n";
+        let src = "fn f() { let m = HashMap::new(); let v = m.get(&k).unwrap(); } // simlint: allow(D1, D5)\n";
+        assert!(rules_in("crates/dcsim/src/a.rs", src).is_empty());
+    }
+
+    #[test]
+    fn unknown_allow_ids_are_reported_even_beside_a_used_one() {
+        let src = "fn f(q: Q) -> u32 { q.front().unwrap() } // simlint: allow(D5, D55)\n";
+        let f = findings_in("crates/dcsim/src/a.rs", src);
+        assert_eq!(f.len(), 1, "{f:?}");
+        assert_eq!(f[0].rule, Rule::S1);
+        assert!(
+            f[0].message.contains("`D55` is not a simlint rule"),
+            "{}",
+            f[0].message
+        );
+    }
+
+    #[test]
+    fn doc_comment_allows_are_documentation() {
+        let src = "/// e.g. `// simlint: allow(D5)`\nfn f() {}\n";
         assert!(rules_in("crates/dcsim/src/a.rs", src).is_empty());
     }
 
     #[test]
     fn finding_display_format() {
-        let f = scan_source("crates/dcsim/src/a.rs", "let v = x.unwrap();\n");
+        let f = findings_in("crates/dcsim/src/a.rs", "fn f() { let v = x.unwrap(); }\n");
         let line = format!("{}", f[0]);
         assert!(
             line.starts_with("crates/dcsim/src/a.rs:1: error[D5]:"),
             "{line}"
         );
+    }
+
+    #[test]
+    fn unparseable_files_fail_without_findings() {
+        let a = analyze_files(&[(
+            "crates/dcsim/src/a.rs".to_string(),
+            "fn f() { let v = x.unwrap(; }\n".to_string(),
+        )]);
+        assert_eq!(a.parse_failures.len(), 1);
+        assert!(a.findings.is_empty(), "{:?}", a.findings);
     }
 
     #[test]
@@ -1761,5 +683,6 @@ mod tests {
         assert_eq!(scope_of("crates/simlint/src/lib.rs"), Scope::Support);
         assert_eq!(scope_of("tests/determinism.rs"), Scope::Sim);
         assert_eq!(scope_of("examples/quickstart.rs"), Scope::Sim);
+        assert_eq!(scope_of("benchmark/src/clock.rs"), Scope::Sim);
     }
 }

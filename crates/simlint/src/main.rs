@@ -1,9 +1,9 @@
 //! `cargo run -p simlint [-- <flags>] [ROOT]` — walk a source tree and
-//! report determinism, unit-safety, overflow, and exhaustiveness rule
-//! violations.
+//! report determinism, unit-safety, overflow, exhaustiveness, shared-state
+//! and hot-path-cost rule violations.
 //!
 //! Exit codes:
-//!   0  clean (no findings after suppression/filtering)
+//!   0  clean (no findings after suppression)
 //!   1  one or more findings reported
 //!   2  a file could not be parsed, or the invocation itself was invalid
 
@@ -12,7 +12,7 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use simlint::{analyze_tree, emit, fix_tree, Rule};
+use simlint::{analyze_tree, emit, Rule};
 
 const HELP: &str = "\
 simlint — static analysis for the simulator workspace
@@ -22,19 +22,9 @@ usage: simlint [OPTIONS] [ROOT]
   ROOT             directory to scan (default: the workspace root / cwd)
 
 options:
-  --rules LIST     comma-separated rule ids or family letters to report
-                   (e.g. `--rules U,O` or `--rules D3,E1`; default: all)
-  --emit FORMAT    output format: text (default), json, or sarif
-  --fix            apply mechanical fixes in place, then report what remains
-  --baseline FILE  ratchet mode: findings listed in FILE are tolerated,
-                   anything new still fails; entries no finding matches
-                   any more are stale and also fail (the file may only
-                   shrink — remove the swept lines)
-  --write-baseline FILE
-                   write the current findings to FILE in baseline format
-                   and exit (the only sanctioned way to grow the file)
+  --emit FORMAT    output format: text (default) or sarif
   --explain [RULE] print the rule table and exit; with a rule id (e.g.
-                   `--explain P2`), print that rule's full rationale
+                   `--explain P3`), print that rule's full rationale
   -h, --help       print this help and exit
 
 exit codes:
@@ -64,26 +54,15 @@ fn default_root() -> PathBuf {
         .unwrap_or_else(|| PathBuf::from("."))
 }
 
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Emit {
-    Text,
-    Json,
-    Sarif,
-}
-
 fn main() -> ExitCode {
     let mut root: Option<PathBuf> = None;
-    let mut rules: Option<Vec<Rule>> = None;
-    let mut emit_fmt = Emit::Text;
-    let mut do_fix = false;
-    let mut baseline_path: Option<PathBuf> = None;
-    let mut write_baseline: Option<PathBuf> = None;
+    let mut sarif = false;
 
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--explain" => {
-                // Optional rule-id operand: `--explain P2` prints the full
+                // Optional rule-id operand: `--explain P3` prints the full
                 // rationale for one rule; bare `--explain` prints the table.
                 if let Some(next) = args.next() {
                     let Some(r) = Rule::parse(&next) else {
@@ -92,11 +71,11 @@ fn main() -> ExitCode {
                              for the full table)"
                         ));
                     };
-                    println!("{}", r.doc());
+                    println!("{}", r.explain());
                     return ExitCode::SUCCESS;
                 }
                 for r in Rule::ALL {
-                    println!("{}: {}", r.id(), r.summary());
+                    println!("{}", r.title());
                 }
                 return ExitCode::SUCCESS;
             }
@@ -104,55 +83,16 @@ fn main() -> ExitCode {
                 print!("{HELP}");
                 return ExitCode::SUCCESS;
             }
-            "--fix" => do_fix = true,
-            "--baseline" => {
-                let Some(file) = args.next() else {
-                    return usage_error("--baseline needs a file path");
-                };
-                baseline_path = Some(PathBuf::from(file));
-            }
-            "--write-baseline" => {
-                let Some(file) = args.next() else {
-                    return usage_error("--write-baseline needs a file path");
-                };
-                write_baseline = Some(PathBuf::from(file));
-            }
-            "--rules" => {
-                let Some(list) = args.next() else {
-                    return usage_error("--rules needs a value (e.g. `--rules U,O`)");
-                };
-                let mut selected = Vec::new();
-                for entry in list.split(',').filter(|e| !e.trim().is_empty()) {
-                    match Rule::parse_filter(entry) {
-                        Some(mut rs) => selected.append(&mut rs),
-                        None => {
-                            return usage_error(&format!(
-                                "unknown rule or family `{}` in --rules",
-                                entry.trim()
-                            ));
-                        }
-                    }
-                }
-                if selected.is_empty() {
-                    return usage_error("--rules selected no rules");
-                }
-                selected.sort();
-                selected.dedup();
-                rules = Some(selected);
-            }
             "--emit" => {
-                let Some(fmt) = args.next() else {
-                    return usage_error("--emit needs a value: text, json, or sarif");
-                };
-                emit_fmt = match fmt.as_str() {
-                    "text" => Emit::Text,
-                    "json" => Emit::Json,
-                    "sarif" => Emit::Sarif,
-                    other => {
+                sarif = match args.next().as_deref() {
+                    Some("text") => false,
+                    Some("sarif") => true,
+                    Some(other) => {
                         return usage_error(&format!(
-                            "unknown --emit format `{other}` (expected text, json, or sarif)"
+                            "unknown --emit format `{other}` (expected text or sarif)"
                         ));
                     }
+                    None => return usage_error("--emit needs a value: text or sarif"),
                 };
             }
             _ if arg.starts_with('-') => {
@@ -164,139 +104,47 @@ fn main() -> ExitCode {
     }
     let root = root.unwrap_or_else(default_root);
 
-    if do_fix {
-        match fix_tree(&root) {
-            Ok(report) => {
-                if report.applied > 0 {
-                    eprintln!(
-                        "simlint: applied {} fix(es) across {} file(s)",
-                        report.applied,
-                        report.files.len()
-                    );
-                    for f in &report.files {
-                        eprintln!("  fixed {f}");
-                    }
-                } else {
-                    eprintln!("simlint: nothing to fix");
-                }
-            }
-            Err(e) => {
-                eprintln!("simlint: cannot fix {}: {e}", root.display());
-                return ExitCode::from(2);
-            }
-        }
-    }
-
-    let mut analysis = match analyze_tree(&root) {
+    let analysis = match analyze_tree(&root) {
         Ok(a) => a,
         Err(e) => {
             eprintln!("simlint: cannot scan {}: {e}", root.display());
             return ExitCode::from(2);
         }
     };
-    if let Some(selected) = &rules {
-        analysis.findings.retain(|f| selected.contains(&f.rule));
-    }
 
-    if let Some(path) = &write_baseline {
-        let text = simlint::Baseline::render(&analysis.findings);
-        if let Err(e) = std::fs::write(path, &text) {
-            eprintln!("simlint: cannot write baseline {}: {e}", path.display());
-            return ExitCode::from(2);
-        }
-        eprintln!(
-            "simlint: wrote {} baseline entr{} to {}",
-            analysis.findings.len(),
-            if analysis.findings.len() == 1 {
-                "y"
-            } else {
-                "ies"
-            },
-            path.display()
-        );
-        return if analysis.parse_failures.is_empty() {
-            ExitCode::SUCCESS
-        } else {
-            ExitCode::from(2)
-        };
-    }
-
-    let mut stale_entries = Vec::new();
-    if let Some(path) = &baseline_path {
-        let text = match std::fs::read_to_string(path) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("simlint: cannot read baseline {}: {e}", path.display());
-                return ExitCode::from(2);
-            }
-        };
-        let baseline = match simlint::Baseline::parse(&text) {
-            Ok(b) => b,
-            Err(e) => {
-                eprintln!("simlint: {}: {e}", path.display());
-                return ExitCode::from(2);
-            }
-        };
-        stale_entries = baseline.stale(&analysis.findings);
-        let before = analysis.findings.len();
-        analysis.findings.retain(|f| !baseline.contains(f));
-        let tolerated = before - analysis.findings.len();
-        if tolerated > 0 {
-            eprintln!(
-                "simlint: {tolerated} baselined finding(s) tolerated per {}",
-                path.display()
-            );
-        }
-        for (rule, fpath, line) in &stale_entries {
-            eprintln!(
-                "simlint: stale baseline entry {rule}\t{fpath}\t{line} — no finding \
-                 matches it any more; remove the line (the ratchet only shrinks)"
-            );
-        }
-    }
-
-    match emit_fmt {
-        Emit::Json => print!(
-            "{}",
-            emit::to_json(
-                &analysis.findings,
-                &analysis.parse_failures,
-                analysis.scanned
-            )
-        ),
-        Emit::Sarif => print!(
+    if sarif {
+        print!(
             "{}",
             emit::to_sarif(&analysis.findings, &analysis.parse_failures)
-        ),
-        Emit::Text => {
-            for f in &analysis.findings {
-                println!("{f}");
-            }
-            for e in &analysis.parse_failures {
-                eprintln!("{}:{}: parse error: {}", e.path, e.line, e.message);
-            }
-            if analysis.findings.is_empty() && analysis.parse_failures.is_empty() {
-                println!(
-                    "simlint: clean — {} files scanned under {}",
-                    analysis.scanned,
-                    root.display()
-                );
-            } else {
-                println!(
-                    "simlint: {} finding(s), {} parse error(s) in {} files scanned under {} \
-                     (suppress with `// simlint: allow(RULE) — reason`)",
-                    analysis.findings.len(),
-                    analysis.parse_failures.len(),
-                    analysis.scanned,
-                    root.display()
-                );
-            }
+        );
+    } else {
+        for f in &analysis.findings {
+            println!("{f}");
+        }
+        for e in &analysis.parse_failures {
+            eprintln!("{e}");
+        }
+        if analysis.findings.is_empty() && analysis.parse_failures.is_empty() {
+            println!(
+                "simlint: clean — {} files scanned under {}",
+                analysis.scanned,
+                root.display()
+            );
+        } else {
+            println!(
+                "simlint: {} finding(s), {} parse error(s) in {} files scanned under {} \
+                 (suppress with `// simlint: allow(RULE) — reason`)",
+                analysis.findings.len(),
+                analysis.parse_failures.len(),
+                analysis.scanned,
+                root.display()
+            );
         }
     }
 
     if !analysis.parse_failures.is_empty() {
         ExitCode::from(2)
-    } else if analysis.findings.is_empty() && stale_entries.is_empty() {
+    } else if analysis.findings.is_empty() {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE

@@ -12,7 +12,7 @@
 //!    breaks; top-level recovery force-bumps when a production consumed
 //!    nothing.
 //! 3. **Keep spans honest.** Expression spans cover the original source
-//!    text exactly, because the autofixer splices replacements by span.
+//!    text exactly: findings are located by them.
 
 use crate::ast::*;
 use crate::lex::{lex, LexError, Lexed, Span, TokKind, Token};
@@ -614,14 +614,12 @@ impl<'a> Parser<'a> {
     }
 
     fn parse_enum(&mut self, cfg_test: bool) -> Item {
-        let line = self.line_here();
         let name = self.bump_ident().unwrap_or_default();
         self.skip_generics();
         if self.is_kw("where") {
             self.skip_to_body();
         }
         let mut variants = Vec::new();
-        let mut payloads = Vec::new();
         if self.eat_open('{') {
             while !self.at_close('}') && !self.at_end() {
                 self.parse_attrs();
@@ -630,7 +628,9 @@ impl<'a> Parser<'a> {
                     continue;
                 };
                 variants.push(vname);
-                payloads.push(self.parse_variant_payload());
+                if matches!(self.peek().map(|t| &t.kind), Some(TokKind::Open(_))) {
+                    self.skip_balanced(); // payload: no rule reads it
+                }
                 if self.eat_op("=") {
                     // Discriminant: skip to `,` or `}`.
                     while !self.at_op(",") && !self.at_close('}') && !self.at_end() {
@@ -652,44 +652,8 @@ impl<'a> Parser<'a> {
         Item::Enum {
             name,
             variants,
-            payloads,
             cfg_test,
-            line,
         }
-    }
-
-    /// Payload types of one enum variant: `(T, U)` tuple payloads, the
-    /// field types of `{ f: T, .. }` struct payloads, empty for unit
-    /// variants. Malformed payloads degrade to whatever parsed.
-    fn parse_variant_payload(&mut self) -> Vec<TypeRef> {
-        let mut tys = Vec::new();
-        if self.eat_open('(') {
-            while !self.at_close(')') && !self.at_end() {
-                self.parse_attrs();
-                tys.push(self.parse_type());
-                if !self.eat_op(",") {
-                    break;
-                }
-            }
-            self.eat_close(')');
-        } else if self.eat_open('{') {
-            while !self.at_close('}') && !self.at_end() {
-                self.parse_attrs();
-                if self.bump_ident().is_none() {
-                    self.pos += 1;
-                    continue;
-                }
-                if !self.eat_op(":") {
-                    continue;
-                }
-                tys.push(self.parse_type());
-                if !self.eat_op(",") {
-                    break;
-                }
-            }
-            self.eat_close('}');
-        }
-        tys
     }
 
     fn parse_fn(&mut self, cfg_test: bool) -> FnItem {
@@ -1326,7 +1290,6 @@ impl<'a> Parser<'a> {
         loop {
             // Field / method / tuple-index access.
             if self.at_op(".") && self.op_at(0) != Some("..") && self.op_at(0) != Some("..=") {
-                let dot_span = self.span_here();
                 self.pos += 1;
                 match self.peek().map(|t| t.kind.clone()) {
                     Some(TokKind::Ident(name)) => {
@@ -1358,7 +1321,6 @@ impl<'a> Parser<'a> {
                                 kind: ExprKind::Field {
                                     recv: Box::new(e),
                                     name,
-                                    access_span: dot_span.to(name_span),
                                 },
                                 span,
                                 line,
@@ -1375,7 +1337,6 @@ impl<'a> Parser<'a> {
                             kind: ExprKind::Field {
                                 recv: Box::new(e),
                                 name: text,
-                                access_span: dot_span.to(idx_span),
                             },
                             span,
                             line,
@@ -1395,7 +1356,6 @@ impl<'a> Parser<'a> {
                                 kind: ExprKind::Field {
                                     recv: Box::new(e),
                                     name: part.to_string(),
-                                    access_span: dot_span.to(idx_span),
                                 },
                                 span,
                                 line,

@@ -70,14 +70,8 @@ pub struct StructInfo {
 pub struct EnumInfo {
     /// Variant names in declaration order.
     pub variants: Vec<String>,
-    /// Per-variant payload types, aligned with `variants`.
-    pub payloads: Vec<Vec<TypeRef>>,
-    /// File the enum is defined in (display path).
-    pub file: String,
     /// Defined inside `#[cfg(test)]` code.
     pub cfg_test: bool,
-    /// 1-based declaration line.
-    pub line: usize,
 }
 
 /// One method or associated function's signature summary.
@@ -171,64 +165,6 @@ impl Symbols {
         found
     }
 
-    /// Rough size estimate of a type in bytes, from the recorded field
-    /// shapes. Primitives use their real widths, pointers and unknowns
-    /// count 8, owning containers their 3-word headers, structs the sum
-    /// of their fields, enums a tag plus their widest payload. `depth`
-    /// caps recursion (pass 0); precision past one cache line does not
-    /// matter to the A-family consumers.
-    pub fn est_size(&self, ty: &TypeRef, depth: usize) -> usize {
-        if depth > 6 {
-            return 8;
-        }
-        match ty {
-            TypeRef::Ref(_) => 8,
-            TypeRef::Unit => 0,
-            TypeRef::Other => 8,
-            TypeRef::Tuple(ts) => ts.iter().map(|t| self.est_size(t, depth + 1)).sum(),
-            TypeRef::Path { segs, args } => {
-                let last = segs.last().map(String::as_str).unwrap_or("");
-                match last {
-                    "u8" | "i8" | "bool" => 1,
-                    "u16" | "i16" => 2,
-                    "u32" | "i32" | "f32" | "char" => 4,
-                    "u64" | "i64" | "f64" | "usize" | "isize" => 8,
-                    "u128" | "i128" => 16,
-                    "Box" | "Rc" | "Arc" => 8,
-                    "Vec" | "String" | "VecDeque" | "BTreeMap" | "BTreeSet" | "HashMap"
-                    | "HashSet" | "BinaryHeap" => 24,
-                    "Option" | "Result" => {
-                        8 + args
-                            .first()
-                            .map(|a| self.est_size(a, depth + 1))
-                            .unwrap_or(0)
-                    }
-                    _ => {
-                        if let Some(info) = self.structs.get(last) {
-                            info.fields
-                                .values()
-                                .chain(info.tuple_fields.iter())
-                                .map(|t| self.est_size(t, depth + 1))
-                                .sum::<usize>()
-                                .max(1)
-                        } else if let Some(info) = self.enums.get(last) {
-                            8 + info
-                                .payloads
-                                .iter()
-                                .map(|p| {
-                                    p.iter().map(|t| self.est_size(t, depth + 1)).sum::<usize>()
-                                })
-                                .max()
-                                .unwrap_or(0)
-                        } else {
-                            8
-                        }
-                    }
-                }
-            }
-        }
-    }
-
     /// Whether a workspace struct (transitively) owns heap storage —
     /// cloning it allocates. Drives the A1 `.clone()` check.
     pub fn owns_heap(&self, name: &str) -> bool {
@@ -304,9 +240,7 @@ fn collect_items(sym: &mut Symbols, path: &str, items: &[Item], in_test: bool) {
             Item::Enum {
                 name,
                 variants,
-                payloads,
                 cfg_test,
-                line,
             } => {
                 let is_test = in_test || *cfg_test;
                 // Prefer non-test definitions on collision.
@@ -319,10 +253,7 @@ fn collect_items(sym: &mut Symbols, path: &str, items: &[Item], in_test: bool) {
                         name.clone(),
                         EnumInfo {
                             variants: variants.clone(),
-                            payloads: payloads.clone(),
-                            file: path.to_string(),
                             cfg_test: is_test,
-                            line: *line,
                         },
                     );
                 }

@@ -381,7 +381,7 @@ mod tests {
         };
         assert_eq!(ev.subsystem(), Subsystem::Port);
         assert_eq!(ev.name(), "drop");
-        let v = ev.to_value(Nanos(250));
+        let v = ev.to_value(Nanos::from_ns(250));
         assert_eq!(v["t"].as_u64(), Some(250));
         assert_eq!(v["sub"].as_str(), Some("port"));
         assert_eq!(v["ev"].as_str(), Some("drop"));
@@ -395,7 +395,7 @@ mod tests {
             bytes: 1_000_000,
             fct_ns: 4_000,
         };
-        let v = ev.chrome_value(Nanos(10_000));
+        let v = ev.chrome_value(Nanos::from_ns(10_000));
         assert_eq!(v["ph"].as_str(), Some("X"));
         assert_eq!(v["ts"].as_f64(), Some(6.0));
         assert_eq!(v["dur"].as_f64(), Some(4.0));
@@ -439,19 +439,25 @@ mod tests {
         for (ev, name) in evs.iter().zip(names) {
             assert_eq!(ev.subsystem(), Subsystem::Fault);
             assert_eq!(ev.name(), name);
-            let v = ev.to_value(Nanos(100));
+            let v = ev.to_value(Nanos::from_ns(100));
             assert_eq!(v["sub"].as_str(), Some("fault"));
             assert_eq!(v["ev"].as_str(), Some(name));
-            let c = ev.chrome_value(Nanos(100));
+            let c = ev.chrome_value(Nanos::from_ns(100));
             assert_eq!(c["ph"].as_str(), Some("i"));
             assert_eq!(c["cat"].as_str(), Some("fault"));
         }
-        let v = evs[3].to_value(Nanos(1));
+        let v = evs[3].to_value(Nanos::from_ns(1));
         assert_eq!(v["level"].as_u64(), Some(2));
         assert_eq!(v["timeout_ns"].as_u64(), Some(400_000));
         // RtoBackoff is flow-keyed; link events are node-keyed.
-        assert_eq!(evs[3].chrome_value(Nanos(1))["tid"].as_u64(), Some(9));
-        assert_eq!(evs[0].chrome_value(Nanos(1))["tid"].as_u64(), Some(4));
+        assert_eq!(
+            evs[3].chrome_value(Nanos::from_ns(1))["tid"].as_u64(),
+            Some(9)
+        );
+        assert_eq!(
+            evs[0].chrome_value(Nanos::from_ns(1))["tid"].as_u64(),
+            Some(4)
+        );
     }
 
     #[test]
@@ -462,7 +468,7 @@ mod tests {
             flow: 5,
             qbytes: 90_000,
         };
-        let v = ev.chrome_value(Nanos(1_500));
+        let v = ev.chrome_value(Nanos::from_ns(1_500));
         assert_eq!(v["ph"].as_str(), Some("i"));
         assert_eq!(v["s"].as_str(), Some("g"));
         assert_eq!(v["cat"].as_str(), Some("port"));

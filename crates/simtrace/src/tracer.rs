@@ -145,7 +145,7 @@ mod tests {
     #[test]
     fn off_tracer_records_nothing() {
         let mut tr = Tracer::off();
-        tr.record(Nanos(10), ev(0));
+        tr.record(Nanos::from_ns(10), ev(0));
         assert!(tr.is_empty());
         assert!(!tr.counters_enabled());
         assert_eq!(tr.to_jsonl(), "");
@@ -154,7 +154,7 @@ mod tests {
     #[test]
     fn counters_level_skips_event_buffer() {
         let mut tr = Tracer::new(TraceConfig::counters());
-        tr.record(Nanos(10), ev(0));
+        tr.record(Nanos::from_ns(10), ev(0));
         assert!(tr.is_empty());
         assert_eq!(tr.counters_enabled(), ENABLED);
     }
@@ -163,9 +163,9 @@ mod tests {
     #[test]
     fn full_tracer_buffers_and_filters() {
         let mut tr = Tracer::new(TraceConfig::full().with_filter(Subsystem::Flow));
-        tr.record(Nanos(10), ev(1));
+        tr.record(Nanos::from_ns(10), ev(1));
         tr.record(
-            Nanos(20),
+            Nanos::from_ns(20),
             TraceEvent::PfcPause {
                 node: 0,
                 port: 0,
@@ -193,9 +193,9 @@ mod tests {
     #[test]
     fn chrome_export_has_trace_events_array() {
         let mut tr = Tracer::new(TraceConfig::full());
-        tr.record(Nanos(10), ev(0));
+        tr.record(Nanos::from_ns(10), ev(0));
         tr.record(
-            Nanos(5_000),
+            Nanos::from_ns(5_000),
             TraceEvent::FlowFinish {
                 flow: 0,
                 bytes: 1_000,

@@ -69,7 +69,7 @@ pub fn poisson_arrivals(cfg: &ArrivalConfig, dist: &EmpiricalCdf) -> Vec<FlowArr
             src,
             dst,
             size: dist.sample(&mut rng),
-            start: Nanos(t as u64),
+            start: Nanos::from_ns(t as u64),
         });
     }
     out
@@ -206,7 +206,7 @@ mod tests {
     fn permutation_is_a_derangement() {
         for seed in 0..20 {
             for n in [2usize, 3, 8, 32] {
-                let flows = permutation(n, Bytes(1000), Nanos::ZERO, seed);
+                let flows = permutation(n, Bytes::new(1000), Nanos::ZERO, seed);
                 assert_eq!(flows.len(), n);
                 let mut dsts: Vec<usize> = flows.iter().map(|f| f.dst).collect();
                 for f in &flows {
@@ -221,10 +221,10 @@ mod tests {
 
     #[test]
     fn permutation_varies_with_seed() {
-        let a = permutation(16, Bytes(1000), Nanos::ZERO, 1);
-        let b = permutation(16, Bytes(1000), Nanos::ZERO, 2);
+        let a = permutation(16, Bytes::new(1000), Nanos::ZERO, 1);
+        let b = permutation(16, Bytes::new(1000), Nanos::ZERO, 2);
         assert_ne!(a, b);
-        assert_eq!(a, permutation(16, Bytes(1000), Nanos::ZERO, 1));
+        assert_eq!(a, permutation(16, Bytes::new(1000), Nanos::ZERO, 1));
     }
 
     #[test]

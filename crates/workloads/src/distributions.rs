@@ -67,15 +67,15 @@ impl EmpiricalCdf {
         for &(size, p) in &self.points {
             if u <= p {
                 if (p - prev.1) <= 1e-12 {
-                    return Bytes(size);
+                    return Bytes::new(size);
                 }
                 let frac = (u - prev.1) / (p - prev.1);
                 let sz = prev.0 as f64 + frac * (size as f64 - prev.0 as f64);
-                return Bytes(sz.max(1.0).round() as u64);
+                return Bytes::new(sz.max(1.0).round() as u64);
             }
             prev = (size, p);
         }
-        Bytes(self.points.last().expect("non-empty").0)
+        Bytes::new(self.points.last().expect("non-empty").0)
     }
 
     /// The mean flow size implied by the piecewise-linear CDF, used to
@@ -219,7 +219,7 @@ mod tests {
         assert!((d.frac_above(128_000) - 0.04).abs() < 0.01);
         // "100% < 2MB"
         assert_eq!(d.frac_above(2_000_000), 0.0);
-        assert_eq!(d.quantile(1.0), Bytes(2_000_000));
+        assert_eq!(d.quantile(1.0), Bytes::new(2_000_000));
     }
 
     #[test]

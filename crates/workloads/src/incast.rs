@@ -71,12 +71,12 @@ mod tests {
         // All flows target host 16 with 1 MB.
         for f in &flows {
             assert_eq!(f.dst, 16);
-            assert_eq!(f.size, Bytes(1_000_000));
+            assert_eq!(f.size, Bytes::new(1_000_000));
             assert_ne!(f.src, f.dst);
         }
         // Two flows per 20 us slot.
-        assert_eq!(flows[0].start, Nanos(0));
-        assert_eq!(flows[1].start, Nanos(0));
+        assert_eq!(flows[0].start, Nanos::from_ns(0));
+        assert_eq!(flows[1].start, Nanos::from_ns(0));
         assert_eq!(flows[2].start, Nanos::from_micros(20));
         assert_eq!(flows[15].start, Nanos::from_micros(140));
     }
@@ -102,11 +102,11 @@ mod tests {
     fn custom_stagger() {
         let flows = staggered_incast(&IncastConfig {
             senders: 6,
-            flow_size: Bytes(500),
+            flow_size: Bytes::new(500),
             flows_per_interval: 3,
             interval: Nanos::from_micros(5),
         });
-        assert_eq!(flows[2].start, Nanos(0));
+        assert_eq!(flows[2].start, Nanos::from_ns(0));
         assert_eq!(flows[3].start, Nanos::from_micros(5));
         assert_eq!(flows[5].start, Nanos::from_micros(5));
     }

@@ -38,8 +38,8 @@ impl From<&TraceRecord> for FlowArrival {
         FlowArrival {
             src: r.src,
             dst: r.dst,
-            size: Bytes(r.size_bytes),
-            start: Nanos(r.start_ns),
+            size: Bytes::new(r.size_bytes),
+            start: Nanos::from_ns(r.start_ns),
         }
     }
 }
@@ -144,8 +144,8 @@ mod tests {
         let flows = vec![FlowArrival {
             src: 1,
             dst: 2,
-            size: Bytes(1000),
-            start: Nanos(5_000),
+            size: Bytes::new(1000),
+            start: Nanos::from_ns(5_000),
         }];
         let json = to_json(&flows);
         assert_eq!(

@@ -49,7 +49,7 @@ fn run(variant: Variant) -> (String, f64, f64) {
             FlowSpec {
                 src,
                 dst,
-                size: Bytes(SHARD),
+                size: Bytes::new(SHARD),
                 start: Nanos::from_micros(100),
             },
             spec.build(&env, 7_000 + w as u64),

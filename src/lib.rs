@@ -16,6 +16,29 @@
 //!   statistical reports over those scenarios.
 //!
 //! Start with `examples/quickstart.rs`.
+//!
+//! # Unit newtypes are opaque outside `dcsim`
+//!
+//! `Nanos`, `Bytes` and `BitRate` keep their field private to `dcsim`, so
+//! everywhere else — sim crates, support crates, tests, `bench` — an
+//! untyped integer becomes a unit only through a named constructor and
+//! leaves only through `.as_u64()`. The compiler enforces what the retired
+//! simlint rules U2/U3 checked in part:
+//!
+//! ```compile_fail
+//! let t = fairness_repro::dcsim::Nanos(5); // use Nanos::from_ns(5)
+//! ```
+//!
+//! ```compile_fail
+//! let t = fairness_repro::dcsim::Nanos::from_ns(5);
+//! let raw = t.0; // use t.as_u64()
+//! ```
+//!
+//! ```
+//! use fairness_repro::dcsim::{BitRate, Bytes, Nanos};
+//! assert_eq!(Nanos::from_ns(5).as_u64(), 5);
+//! assert_eq!(Bytes::new(1).as_u64() + BitRate::from_bps(1).as_u64(), 2);
+//! ```
 
 #![deny(unsafe_code)]
 

@@ -117,9 +117,9 @@ fn heap_time_regression_trips_pop_order_audit() {
     // The engine contract forbids scheduling into the past; doing it
     // straight on the queue makes the pop-order witness fire.
     let mut q = EventQueue::new();
-    q.push(Nanos(10), "late");
-    assert_eq!(q.pop(), Some((Nanos(10), "late")));
-    q.push(Nanos(5), "early");
+    q.push(Nanos::from_ns(10), "late");
+    assert_eq!(q.pop(), Some((Nanos::from_ns(10), "late")));
+    q.push(Nanos::from_ns(5), "early");
     let msg = audit_panic_message(|| {
         let _ = q.pop();
     });
@@ -129,10 +129,10 @@ fn heap_time_regression_trips_pop_order_audit() {
 #[test]
 fn wheel_push_behind_cursor_trips_monotonicity_audit() {
     let mut w: TimingWheel<&str> = TimingWheel::new();
-    w.push(Nanos(10), "late");
-    assert_eq!(w.pop(), Some((Nanos(10), "late")));
+    w.push(Nanos::from_ns(10), "late");
+    assert_eq!(w.pop(), Some((Nanos::from_ns(10), "late")));
     let msg = audit_panic_message(|| {
-        w.push(Nanos(5), "early");
+        w.push(Nanos::from_ns(5), "early");
     });
     // In debug builds the engine's pre-existing debug_assert fires first;
     // in release-with-audit builds the audit_assert does. Both name the

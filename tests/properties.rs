@@ -48,7 +48,7 @@ fn prop_star_flows_complete_and_conserve_bytes() {
                 FlowSpec {
                     src: hosts[src],
                     dst: hosts[dst],
-                    size: Bytes(10_000 + rng.below(490_000)),
+                    size: Bytes::new(10_000 + rng.below(490_000)),
                     start: Nanos::from_micros(rng.below(200)),
                 },
                 Box::new(FixedRate(BitRate::from_gbps(1 + rng.below(79)))),
@@ -69,8 +69,8 @@ fn prop_star_flows_complete_and_conserve_bytes() {
             let f = net.flow(rec.flow);
             // Byte conservation: the sender accounted exactly the flow
             // size, no more (no duplication), no less (no loss).
-            assert_eq!(f.acked, f.spec.size.0, "case {case}");
-            assert_eq!(f.sent, f.spec.size.0, "case {case}");
+            assert_eq!(f.acked, f.spec.size.as_u64(), "case {case}");
+            assert_eq!(f.sent, f.spec.size.as_u64(), "case {case}");
             // Physics: FCT at least size / line-rate.
             let floor = BitRate::from_gbps(100).serialization_delay(f.spec.size);
             assert!(
@@ -110,7 +110,7 @@ fn prop_simulation_time_monotone() {
             FlowSpec {
                 src: h0,
                 dst: h1,
-                size: Bytes(100_000),
+                size: Bytes::new(100_000),
                 start: Nanos::ZERO,
             },
             Box::new(FixedRate(BitRate::from_gbps(50))),

@@ -8,6 +8,12 @@
 //! * re-entrant pushes at exactly the time just dispatched (`now`),
 //! * deltas spanning every wheel level, slot boundaries, and the
 //!   overflow/spill range beyond the wheel's 2^36 ns span.
+//!
+//! The same-timestamp burst cases are also the stand-in for the retired
+//! simlint rule P4 (event heaps keyed by bare time): both `BinaryHeap`s in
+//! the workspace are `(time, seq)`-keyed, and a heap that lost its
+//! sequence tie-break pops a burst out of push order here. Likewise
+//! `network_events_stay_two_words` stands in for A2 (boxed event payloads).
 
 use fairness_repro::dcsim::{DetRng, EventQueue, Nanos, Scheduler, TimingWheel};
 
@@ -54,7 +60,7 @@ impl Pair {
         assert_eq!(a, b, "seq {seq}: pop diverged (heap vs wheel)");
         assert_eq!(self.heap.len(), self.wheel.len(), "seq {seq}: len diverged");
         a.map(|(t, _)| {
-            self.now = self.now.max(t.0);
+            self.now = self.now.max(t.as_u64());
             t
         })
     }
@@ -75,7 +81,7 @@ fn wheel_matches_heap_on_randomized_sequences() {
             if rng.chance(0.55) {
                 // Push a burst (possibly size 1) at a single timestamp —
                 // the pop order within the burst must be push order.
-                let t = Nanos(pair.now + random_delta(&mut rng));
+                let t = Nanos::from_ns(pair.now + random_delta(&mut rng));
                 for _ in 0..1 + rng.below(3) {
                     pair.push(t);
                 }
@@ -104,12 +110,12 @@ fn fifo_ties_survive_a_mid_burst_drain() {
         now: 0,
         next_id: 0,
     };
-    let t = Nanos(1_000);
+    let t = Nanos::from_ns(1_000);
     for _ in 0..4 {
         pair.push(t);
     }
-    pair.push(Nanos(10)); // earlier event, popped first
-    assert_eq!(pair.pop(u64::MAX), Some(Nanos(10)));
+    pair.push(Nanos::from_ns(10)); // earlier event, popped first
+    assert_eq!(pair.pop(u64::MAX), Some(Nanos::from_ns(10)));
     for _ in 0..4 {
         pair.push(t); // second half of the tie burst
     }
@@ -128,7 +134,7 @@ fn clear_preserves_counters_and_later_pushes() {
         next_id: 0,
     };
     for d in [5u64, 70, 1 << 20, (1 << 36) + 9] {
-        pair.push(Nanos(d));
+        pair.push(Nanos::from_ns(d));
     }
     pair.pop(u64::MAX);
     pair.heap.clear();
@@ -137,7 +143,17 @@ fn clear_preserves_counters_and_later_pushes() {
     assert_eq!(pair.heap.total_pushed(), pair.wheel.total_pushed());
     assert_eq!(pair.heap.total_popped(), pair.wheel.total_popped());
     // Pushes after a clear must still work from the last popped time.
-    let t = Nanos(pair.now + 3);
+    let t = Nanos::from_ns(pair.now + 3);
     pair.push(t);
     assert_eq!(pair.pop(u64::MAX), Some(t));
+}
+
+#[test]
+fn network_events_stay_two_words() {
+    // The schedulers shuffle events constantly (heap sift, wheel
+    // cascade); the packet rides as an 8-byte slab handle, so the
+    // whole enum must stay two words and `Copy`-movable without
+    // touching the allocator.
+    let size = std::mem::size_of::<fairness_repro::netsim::Event>();
+    assert!(size <= 16, "Event grew to {size} bytes — boxed payload?");
 }

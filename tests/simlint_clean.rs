@@ -1,25 +1,15 @@
 //! Tier-1 gate: the workspace must stay clean under its own static
-//! analysis pass — the v1 line rules (D1–D6), the v2 semantic rules
-//! (U1–U3, O1, E1, P1–P5, S1), and the v4 cost rules (A1–A4) — and
-//! every file must be parseable by the v2 parser. Equivalent to
-//! `cargo run -p simlint -- --baseline simlint.baseline` exiting 0, but
-//! enforced by `cargo test` so a violating change cannot land even when
-//! the CI lint job is skipped.
-//!
-//! Findings listed in `simlint.baseline` are tolerated; the baseline is
-//! a ratchet, so an entry whose finding has been swept away fails the
-//! gate until the entry is removed.
+//! analysis pass (`simlint --explain` lists the rules), every file must
+//! parse, and the linter itself must stay inside its size budget.
+//! Equivalent to `cargo run -p simlint` exiting 0, but enforced by
+//! `cargo test` so a violating change cannot land even when the CI lint
+//! job is skipped. The scan covers `crates/simlint` too, so this is also
+//! the analyzer's self-lint.
 
 use std::path::Path;
 
-fn workspace_baseline(root: &Path) -> simlint::Baseline {
-    let text = std::fs::read_to_string(root.join("simlint.baseline"))
-        .expect("simlint.baseline exists at the workspace root");
-    simlint::Baseline::parse(&text).expect("simlint.baseline parses")
-}
-
 #[test]
-fn workspace_has_no_unbaselined_simlint_findings() {
+fn workspace_has_no_simlint_findings() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
     let analysis = simlint::analyze_tree(root).expect("workspace tree scans");
     assert!(
@@ -34,50 +24,44 @@ fn workspace_has_no_unbaselined_simlint_findings() {
         analysis
             .parse_failures
             .iter()
-            .map(|e| format!("{}:{}: {}", e.path, e.line, e.message))
+            .map(|e| e.to_string())
             .collect::<Vec<_>>()
             .join("\n")
     );
-    let baseline = workspace_baseline(root);
-    let (new, _tolerated) = baseline.split(&analysis.findings);
     assert!(
-        new.is_empty(),
-        "simlint found {} unbaselined violation(s):\n{}",
-        new.len(),
-        new.iter()
+        analysis.findings.is_empty(),
+        "simlint found {} violation(s):\n{}",
+        analysis.findings.len(),
+        analysis
+            .findings
+            .iter()
             .map(|f| f.to_string())
             .collect::<Vec<_>>()
             .join("\n")
     );
 }
 
-#[test]
-fn workspace_baseline_has_no_stale_entries() {
-    // The ratchet only shrinks: a baseline entry whose finding was fixed
-    // must be deleted, or it could silently mask a future regression at
-    // the same site.
-    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
-    let analysis = simlint::analyze_tree(root).expect("workspace tree scans");
-    let baseline = workspace_baseline(root);
-    let stale = baseline.stale(&analysis.findings);
-    assert!(
-        stale.is_empty(),
-        "baseline entries no longer matched by any finding (delete them):\n{}",
-        stale
-            .iter()
-            .map(|(rule, path, line)| format!("{rule}\t{path}\t{line}"))
-            .collect::<Vec<_>>()
-            .join("\n")
-    );
-}
+/// DESIGN.md, "Static analysis & invariant audit" → "Size budget".
+const SIMLINT_SRC_LINE_BUDGET: usize = 8_200;
 
 #[test]
-fn workspace_autofix_is_a_no_op() {
-    // A clean tree must stay byte-identical under `--fix`; CI asserts
-    // the same with `git diff --exit-code`. Baselined findings carry no
-    // mechanical fix, so the baseline does not exempt anything here.
-    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
-    let mut files = simlint::read_tree(root).expect("workspace tree reads");
-    let applied = simlint::fix_source_set(&mut files);
-    assert_eq!(applied, 0, "clean workspace should need no fixes");
+fn simlint_stays_inside_its_size_budget() {
+    let src = Path::new(env!("CARGO_MANIFEST_DIR")).join("crates/simlint/src");
+    let mut lines = 0;
+    for entry in std::fs::read_dir(&src).expect("crates/simlint/src exists") {
+        let path = entry.expect("directory entry reads").path();
+        if path.extension().is_some_and(|e| e == "rs") {
+            lines += std::fs::read_to_string(&path)
+                .expect("source file reads")
+                .lines()
+                .count();
+        }
+    }
+    assert!(
+        lines <= SIMLINT_SRC_LINE_BUDGET,
+        "crates/simlint/src is {lines} lines, over its {SIMLINT_SRC_LINE_BUDGET}-line budget: \
+         delete something, or raise the budget together with the DESIGN.md paragraph \
+         (\"Static analysis & invariant audit\" → \"Size budget\") arguing why the linter \
+         has to grow"
+    );
 }
