@@ -1,139 +1,111 @@
 //! `repro` — regenerate the paper's figures.
 //!
 //! ```text
-//! repro <figure>... [--full-scale] [--seed N]
+//! repro <figure>... [--full-scale] [--seed N] [--json]
 //! repro all [--full-scale] [--seed N]
-//! repro --sweep NAME_OR_FILE [--ensemble N] [--jobs N] [--sweep-out FILE]
+//! repro --sweep NAME_OR_FILE [--ensemble N] [--sweep-out FILE] [--seed N] [--json]
 //! repro list
 //! ```
 //!
-//! Figures: fig1-fig6, fig8-fig13 (fig7 is the topology diagram,
-//! reproduced as `netsim::topology::FatTreeConfig::paper()` and its unit
-//! tests), plus the ablations: `ablation-mechanisms` (VAI/SF/both),
-//! `ablation-sf` (cadence sweep), `ablation-dampener`,
-//! `ablation-hyper-ai` (Timely-style HAI on Swift), `ablation-timely`
-//! (mechanism generality), `ablation-permutation` (boundary of
-//! applicability), `ablation-sf-increases` (negative control),
-//! `ablation-degree` (incast-degree sweep), and `ablation-pfc`.
-//! `--faults` (or the `faults` figure name) runs the fault-injection
-//! sweep: slowdown CDFs under fabric wire loss and link flaps, baseline
-//! vs VAI+SF.
-//! `--json` emits machine-readable summaries for the fig* targets.
+//! The figures are the rows of [`bench::FIGURES`] — fig1-fig6 and
+//! fig8-fig13 (fig7 is the topology diagram), the ablations, and the
+//! fault-injection sweep `faults` (also spelled `--faults`); `repro list`
+//! prints each with its caption. `--json` emits the per-run summaries of
+//! the same runs for the rows that have a JSON form.
 //!
 //! `--sweep NAME_OR_FILE` runs a declarative fleet sweep instead of a
 //! figure: a preset name (`repro list` prints them) or a path to a
 //! `fleet::SweepSpec` JSON file. The report (per-cell p50/p95/p99/p99.9
 //! slowdown, ensemble medians, bootstrap 95% CIs) prints as a text table,
 //! or as report JSON with `--json`; `--sweep-out FILE` also writes the
-//! JSON to a file. `--ensemble N` overrides the spec's replicate count,
-//! `--seed` its root seed, and `--jobs N` pins the worker-pool width
-//! (never affects the report bytes). Exits 1 if any run stalled.
+//! JSON to a file. `--ensemble N` overrides the spec's replicate count and
+//! `--seed` its root seed. Exits 1 if any run stalled.
+//!
+//! Both modes run under one `fleet::SweepConfig`: `--scheduler
+//! heap|wheel`, `--jobs N` (the worker-pool width; never affects a byte of
+//! output) and tracing. A flag the chosen mode would ignore is an error.
 //!
 //! Default scale runs the incast microbenchmarks exactly as in the paper
 //! and the fat-tree simulations at reduced scale (see DESIGN.md);
 //! `--full-scale` switches the fat-tree runs to the paper's 320 hosts and
-//! 50 ms (very slow).
+//! 50 ms (about 8 minutes and 1.2 GB per variant by `benchmark/README.md`'s
+//! extrapolation).
 //!
-//! `--trace DIR` writes per-run trace artifacts under `DIR`
-//! (`<figure>.<variant>.trace.jsonl`, `.chrome.json` for Perfetto, and
-//! `.metrics.json`; sweep runs use `<tag>.<cell-slug>.s<seed>.*`);
-//! `--trace-filter SUB` (repeatable) restricts event collection to the
-//! named subsystems (engine/port/flow/cc/pfc/fault). The binary must be
-//! built with `--features trace` for events to be recorded; without it
-//! `--trace` still runs but emits a warning.
+//! `--trace DIR` writes per-run trace artifacts under `DIR`:
+//! `<figure-or-sweep>.<run>.s<seed>.trace.jsonl`, `.chrome.json` for
+//! Perfetto, and `.metrics.json`, where `<run>` is the sweep cell's slug
+//! (`incast-deg-16-cc-hpcc`) or, for the figures that are not sweeps, the
+//! row label. `--trace-filter SUB` (repeatable) restricts event collection
+//! to the named subsystems. The binary must be built with `--features
+//! trace` for events to be recorded; without it `--trace` still runs but
+//! emits a warning.
 
-use bench::{run_figure, run_figure_json, FigureCtx, Scale, ALL_FIGURES, DEFAULT_SEED};
-use fairsim::{SchedulerKind, TraceConfig};
+use bench::{Figure, FigureCtx, Scale, DEFAULT_SEED, FAULTS, FIGURES};
+use fairsim::{Subsystem, TraceConfig};
+
+/// The `--trace-filter` values, `sep`-joined.
+fn subsystems(sep: &str) -> String {
+    Subsystem::ALL.map(Subsystem::name).join(sep)
+}
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut scale = Scale::Reduced;
+    let mut full_scale = false;
     let mut seed: Option<u64> = None;
     let mut json = false;
-    let mut scheduler = SchedulerKind::default();
-    let mut trace_dir: Option<std::path::PathBuf> = None;
+    let mut cfg = fleet::SweepConfig::new();
     let mut trace_cfg = TraceConfig::full();
     let mut figures: Vec<String> = Vec::new();
     let mut sweep: Option<String> = None;
     let mut ensemble: Option<usize> = None;
-    let mut jobs: Option<usize> = None;
     let mut sweep_out: Option<std::path::PathBuf> = None;
 
     let mut i = 0;
+    // The argument of the flag at `i`; `what` completes "--flag needs ...".
+    let value = |i: &mut usize, what: &str| -> String {
+        let flag = &args[*i];
+        *i += 1;
+        args.get(*i)
+            .cloned()
+            .unwrap_or_else(|| die(&format!("{flag} needs {what}")))
+    };
+    let count = |i: &mut usize, what: &str| -> usize {
+        let flag = args[*i].clone();
+        match value(i, what).parse() {
+            Ok(n) if n >= 1 => n,
+            _ => die(&format!("{flag} needs {what}")),
+        }
+    };
     while i < args.len() {
         match args[i].as_str() {
-            "--full-scale" => scale = Scale::Full,
+            "--full-scale" => full_scale = true,
             "--json" => json = true,
-            "--faults" => figures.push("faults".to_string()),
+            "--faults" => figures.push(FAULTS.to_string()),
             "--seed" => {
-                i += 1;
-                seed = Some(
-                    args.get(i)
-                        .and_then(|s| s.parse().ok())
-                        .unwrap_or_else(|| die("--seed needs an integer")),
-                );
+                let n = value(&mut i, "an integer").parse();
+                seed = Some(n.unwrap_or_else(|_| die("--seed needs an integer")));
             }
             "--scheduler" => {
-                i += 1;
-                scheduler = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| die("--scheduler needs 'heap' or 'wheel'"));
+                let what = "'heap' or 'wheel'";
+                let kind = value(&mut i, what).parse();
+                cfg.scheduler = kind.unwrap_or_else(|_| die(&format!("--scheduler needs {what}")));
             }
             "--trace" => {
-                i += 1;
-                let dir = args
-                    .get(i)
-                    .unwrap_or_else(|| die("--trace needs a directory path"));
-                trace_dir = Some(std::path::PathBuf::from(dir));
+                cfg.trace_dir = Some(value(&mut i, "a directory path").into());
             }
             "--trace-filter" => {
-                i += 1;
-                let sub = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| die("--trace-filter needs engine|port|flow|cc|pfc"));
+                let what = subsystems("|");
+                let sub = value(&mut i, &what).parse();
+                let sub = sub.unwrap_or_else(|_| die(&format!("--trace-filter needs {what}")));
                 trace_cfg = trace_cfg.with_filter(sub);
             }
-            "--sweep" => {
-                i += 1;
-                let target = args
-                    .get(i)
-                    .unwrap_or_else(|| die("--sweep needs a preset name or spec file"));
-                sweep = Some(target.clone());
-            }
-            "--ensemble" => {
-                i += 1;
-                let n: usize = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| die("--ensemble needs a replicate count >= 1"));
-                if n == 0 {
-                    die("--ensemble needs a replicate count >= 1");
-                }
-                ensemble = Some(n);
-            }
-            "--jobs" => {
-                i += 1;
-                let n: usize = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| die("--jobs needs a worker count >= 1"));
-                if n == 0 {
-                    die("--jobs needs a worker count >= 1");
-                }
-                jobs = Some(n);
-            }
-            "--sweep-out" => {
-                i += 1;
-                let path = args
-                    .get(i)
-                    .unwrap_or_else(|| die("--sweep-out needs a file path"));
-                sweep_out = Some(std::path::PathBuf::from(path));
-            }
+            "--sweep" => sweep = Some(value(&mut i, "a preset name or spec file")),
+            "--ensemble" => ensemble = Some(count(&mut i, "a replicate count >= 1")),
+            "--jobs" => cfg.workers = Some(count(&mut i, "a worker count >= 1")),
+            "--sweep-out" => sweep_out = Some(value(&mut i, "a file path").into()),
             "list" => {
-                for f in ALL_FIGURES {
-                    println!("{f}");
+                for f in FIGURES {
+                    println!("{:<22} {}", f.name, f.caption);
                 }
                 println!();
                 println!("sweep presets (use with --sweep):");
@@ -142,7 +114,7 @@ fn main() {
                 }
                 return;
             }
-            "all" => figures.extend(ALL_FIGURES.iter().map(|s| s.to_string())),
+            "all" => figures.extend(FIGURES.iter().map(|f| f.name.to_string())),
             "-h" | "--help" => {
                 print_usage();
                 return;
@@ -160,55 +132,65 @@ fn main() {
         std::process::exit(2);
     }
 
-    if trace_dir.is_some() && !simtrace::ENABLED {
-        eprintln!(
-            "repro: warning: built without the `trace` feature; --trace will \
-             record nothing (rebuild with `--features trace`)"
-        );
+    if cfg.trace_dir.is_some() {
+        cfg.trace = trace_cfg;
+        if !simtrace::ENABLED {
+            eprintln!(
+                "repro: warning: built without the `trace` feature; --trace will \
+                 record nothing (rebuild with `--features trace`)"
+            );
+        }
     }
 
     if let Some(target) = sweep {
         if !figures.is_empty() {
             die("--sweep and figure names are mutually exclusive");
         }
-        run_sweep_mode(
-            &target, seed, ensemble, jobs, scheduler, trace_dir, trace_cfg, json, sweep_out,
-        );
+        if full_scale {
+            die("--full-scale does not apply to --sweep (set `full_scale` in the spec file)");
+        }
+        run_sweep_mode(&target, seed, ensemble, &cfg, json, sweep_out);
         return;
     }
-
-    let mut ctx = FigureCtx::new(scale, seed.unwrap_or(DEFAULT_SEED)).with_scheduler(scheduler);
-    if trace_dir.is_some() {
-        ctx = ctx.with_trace(trace_cfg, trace_dir);
+    if ensemble.is_some() {
+        die("--ensemble applies to --sweep only (figures run one seed)");
+    }
+    if sweep_out.is_some() {
+        die("--sweep-out applies to --sweep only");
     }
 
-    for f in &figures {
-        let fig_ctx = ctx.clone().with_tag(f);
-        let output = if json {
-            run_figure_json(f, &fig_ctx)
+    // Resolve every name before running anything.
+    let rows: Vec<_> = figures
+        .iter()
+        .map(|f| Figure::named(f).unwrap_or_else(|msg| die(&msg)))
+        .collect();
+    if let Some(f) = rows.iter().find(|f| json && !f.has_json()) {
+        die(&format!("figure '{}' has no JSON form", f.name));
+    }
+    let ctx = FigureCtx {
+        scale: if full_scale {
+            Scale::Full
         } else {
-            run_figure(f, &fig_ctx)
-        };
-        match output {
-            Some(output) => println!("{output}"),
-            None if json => die(&format!("figure '{f}' has no JSON form")),
-            None => die(&format!(
-                "unknown figure '{f}' (fig7 is the topology diagram; run `repro list`)"
-            )),
+            Scale::Reduced
+        },
+        seed: seed.unwrap_or(DEFAULT_SEED),
+        sweep: cfg,
+    };
+    for f in rows {
+        let out = f.run(&ctx);
+        match out.json {
+            Some(v) if json => println!("{}", v.pretty()),
+            _ => println!("{}", out.text),
         }
     }
 }
 
 /// Resolve, run, and report a fleet sweep. Exits 1 if any run stalled.
-#[allow(clippy::too_many_arguments)]
 fn run_sweep_mode(
     target: &str,
     seed: Option<u64>,
     ensemble: Option<usize>,
-    jobs: Option<usize>,
-    scheduler: SchedulerKind,
-    trace_dir: Option<std::path::PathBuf>,
-    trace_cfg: TraceConfig,
+    cfg: &fleet::SweepConfig,
     json: bool,
     sweep_out: Option<std::path::PathBuf>,
 ) {
@@ -232,15 +214,7 @@ fn run_sweep_mode(
         spec.ensemble.replicates = n;
     }
 
-    let mut cfg = fleet::SweepConfig::new().with_scheduler(scheduler);
-    if let Some(n) = jobs {
-        cfg = cfg.with_workers(n);
-    }
-    if trace_dir.is_some() {
-        cfg = cfg.with_trace(trace_cfg, trace_dir);
-    }
-
-    let outcome = fleet::run_sweep(&spec, &cfg);
+    let outcome = fleet::run_sweep(&spec, cfg);
     let report = outcome.report();
     if json {
         println!("{}", report.to_json());
@@ -262,14 +236,15 @@ fn run_sweep_mode(
 
 fn print_usage() {
     eprintln!(
-        "usage: repro <figure>... [--full-scale] [--seed N] [--json] \
-         [--scheduler heap|wheel] [--faults] [--trace DIR] \
-         [--trace-filter SUB]... | repro --sweep NAME_OR_FILE [--ensemble N] \
-         [--jobs N] [--sweep-out FILE] | repro all | repro list"
+        "usage: repro <figure>... [--full-scale] [--faults] | repro all | \
+         repro --sweep NAME_OR_FILE [--ensemble N] [--sweep-out FILE] | repro list\n\
+         either mode: [--seed N] [--json] [--scheduler heap|wheel] [--jobs N] \
+         [--trace DIR] [--trace-filter SUB]..."
     );
-    eprintln!("figures: {}", ALL_FIGURES.join(" "));
+    let names: Vec<&str> = FIGURES.iter().map(|f| f.name).collect();
+    eprintln!("figures: {}", names.join(" "));
     eprintln!("sweep presets: {}", fleet::preset_names().join(" "));
-    eprintln!("trace subsystems: engine port flow cc pfc fault");
+    eprintln!("trace subsystems: {}", subsystems(" "));
 }
 
 fn die(msg: &str) -> ! {

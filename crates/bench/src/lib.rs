@@ -1,55 +1,55 @@
-//! Figure-regeneration library: one function per figure of the paper,
-//! each returning the rendered text block the `repro` binary prints.
+//! Figure-regeneration library: [`FIGURES`] is the one place a figure is
+//! defined, and everything `repro` prints — a figure's text, its `--json`,
+//! `repro list`, `repro all`, the usage line — is read from its row.
 //!
-//! Every figure function takes a [`Scale`]: `Reduced` keeps the paper's
-//! incast microbenchmarks at full scale (they are cheap) but shrinks the
-//! fat-tree datacenter runs to laptop size; `Full` reproduces the paper's
-//! exact 320-host / 50 ms configuration (hours of CPU).
+//! A row is a name, a caption, and what to run: a list of panels, each a
+//! single-seed `fleet` sweep (protocol list x workload) rendered by one of
+//! the [`views`], or — for the five rows that are not sweeps — one
+//! function in [`custom`]. A panel's JSON is derived from the same runs
+//! its text renders.
+//!
+//! [`Scale::Reduced`] keeps the paper's incast microbenchmarks at full
+//! scale (they are cheap) but shrinks the fat-tree runs to laptop size;
+//! [`Scale::Full`] switches them to the paper's 320 hosts and 50 ms.
 
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
-use dcsim::Nanos;
-use fairsim::render::{f3, fmt_size, TextTable};
-use fairsim::scenarios::LONG_FLOW_BYTES;
-use fairsim::series::thin;
-use fairsim::{
-    CcOptions, CcSpec, DatacenterResult, FaultResult, IncastResult, IncastScenario, ProtocolKind,
-    RunCtx, Scenario, SchedulerKind, TraceConfig, TraceLevel, Tracer, Variant,
-};
-use fleet::slug;
-use netsim::FatTreeConfig;
-use workloads::distributions;
+mod custom;
+mod views;
 
-/// Experiment scale for the datacenter figures.
+use fairsim::export::{datacenter_value, incast_value};
+use fairsim::ProtocolKind::{Hpcc, Swift, Timely};
+use fairsim::{CcOptions, CcSpec, ProtocolKind, Variant};
+use fleet::{Ensemble, FaultCell, RunOutput, SweepSpec, WorkloadAxis};
+use minijson::Value;
+use workloads::distributions::{ALI_STORAGE, FB_HADOOP, WEBSEARCH};
+
+/// Experiment scale for the fat-tree figures.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Scale {
-    /// 32-host fat-tree, 2 ms of arrivals (default; minutes of CPU).
+    /// 32-host fat-tree, 2 ms of arrivals (default; seconds per figure).
     Reduced,
-    /// The paper's 320-host fat-tree, 50 ms of arrivals (hours of CPU).
+    /// The paper's 320-host fat-tree, 50 ms of arrivals. Never run end to
+    /// end here; `benchmark/README.md` extrapolates from its measured
+    /// 320-host workload to about 8 minutes and 1.2 GB per variant.
     Full,
 }
 
 /// Default seed used by the harness (override with `--seed`).
 pub const DEFAULT_SEED: u64 = 42;
 
-/// Everything a figure function needs besides its own workload: the
-/// datacenter scale, the root seed, the scheduler backend, the trace
-/// configuration, and where (if anywhere) to write trace artifacts.
+/// Everything a figure needs besides its own row: the fat-tree scale, the
+/// root seed, and how every run executes.
 #[derive(Debug, Clone)]
 pub struct FigureCtx {
-    /// Datacenter experiment scale.
+    /// Fat-tree experiment scale.
     pub scale: Scale,
     /// Root seed (override with `--seed`).
     pub seed: u64,
-    /// Event scheduler backing every run.
-    pub scheduler: SchedulerKind,
-    /// Trace/metrics collection level.
-    pub trace: TraceConfig,
-    /// Directory for per-variant trace artifacts; `None` discards traces.
-    pub trace_dir: Option<std::path::PathBuf>,
-    /// Tag prefixed to trace artifact file names (usually the figure name).
-    pub tag: String,
+    /// Scheduler, worker pool and tracing — the same config `repro
+    /// --sweep` runs under.
+    pub sweep: fleet::SweepConfig,
 }
 
 impl FigureCtx {
@@ -59,1083 +59,535 @@ impl FigureCtx {
         FigureCtx {
             scale,
             seed,
-            scheduler: SchedulerKind::default(),
-            trace: TraceConfig::off(),
-            trace_dir: None,
-            tag: String::new(),
+            sweep: fleet::SweepConfig::new(),
         }
     }
-
-    /// Select the event-scheduler backend.
-    pub fn with_scheduler(mut self, scheduler: SchedulerKind) -> Self {
-        self.scheduler = scheduler;
-        self
-    }
-
-    /// Enable tracing at the given level, writing artifacts to `dir`.
-    pub fn with_trace(mut self, trace: TraceConfig, dir: Option<std::path::PathBuf>) -> Self {
-        self.trace = trace;
-        self.trace_dir = dir;
-        self
-    }
-
-    /// Set the artifact file-name tag (chainable; the harness sets the
-    /// figure name before each figure).
-    pub fn with_tag(mut self, tag: &str) -> Self {
-        self.tag = tag.to_string();
-        self
-    }
-
-    /// The per-run context handed to [`fairsim::Scenario::run_with`].
-    pub fn run_ctx(&self) -> RunCtx {
-        RunCtx::new(self.seed)
-            .with_scheduler(self.scheduler)
-            .with_trace(self.trace)
-    }
 }
 
-/// Write a run's trace artifacts under `ctx.trace_dir`:
-/// `<tag>.<label>.trace.jsonl` (structured events),
-/// `<tag>.<label>.chrome.json` (Perfetto-loadable), and
-/// `<tag>.<label>.metrics.json` (counters + histograms).
-fn write_trace_artifacts(ctx: &FigureCtx, label: &str, tracer: &Tracer) {
-    let Some(dir) = &ctx.trace_dir else { return };
-    std::fs::create_dir_all(dir)
-        .unwrap_or_else(|e| panic!("cannot create trace dir {}: {e}", dir.display()));
-    let stem = if ctx.tag.is_empty() {
-        slug(label)
-    } else {
-        format!("{}.{}", ctx.tag, slug(label))
-    };
-    let write = |suffix: &str, body: String| {
-        let path = dir.join(format!("{stem}.{suffix}"));
-        std::fs::write(&path, body)
-            .unwrap_or_else(|e| panic!("cannot write {}: {e}", path.display()));
-    };
-    if tracer.config().level == TraceLevel::Full {
-        write("trace.jsonl", tracer.to_jsonl());
-        write("chrome.json", tracer.to_chrome());
-    }
-    write(
-        "metrics.json",
-        format!("{}\n", tracer.metrics().to_value().pretty()),
-    );
+/// What a figure printed: its text, and its JSON when it has one.
+#[derive(Debug)]
+pub struct Rendered {
+    /// The text block `repro <figure>` prints.
+    pub text: String,
+    /// What `repro <figure> --json` prints: per-run summaries of the same
+    /// runs, panel after panel. `None` when [`Figure::has_json`] is false.
+    pub json: Option<Value>,
 }
 
-/// The fleet execution config for a figure context: same scheduler,
-/// trace level, artifact directory, and tag the single-run path uses.
-fn sweep_cfg(ctx: &FigureCtx) -> fleet::SweepConfig {
-    fleet::SweepConfig::new()
-        .with_scheduler(ctx.scheduler)
-        .with_trace(ctx.trace, ctx.trace_dir.clone())
-        .with_tag(&ctx.tag)
+/// One row of [`FIGURES`].
+#[derive(Debug)]
+pub struct Figure {
+    /// The name `repro` takes.
+    pub name: &'static str,
+    /// One line on what the figure shows (`repro list`).
+    pub caption: &'static str,
+    body: Body,
 }
 
-/// Run a single-seed sweep and unwrap each cell's one run.
-fn run_single_seed(spec: &fleet::SweepSpec, ctx: &FigureCtx) -> Vec<fleet::RunOutput> {
-    fleet::run_sweep(spec, &sweep_cfg(ctx))
-        .into_cells()
-        .into_iter()
-        .map(fleet::CellOutcome::into_only_run)
-        .collect()
+#[derive(Debug)]
+enum Body {
+    /// One single-seed sweep per panel.
+    Panels(&'static [Panel]),
+    /// Not a sweep: `text` runs and renders everything under `title`, given
+    /// the context and the figure's name (its trace artifacts' prefix).
+    Custom {
+        title: &'static str,
+        text: fn(&FigureCtx, &str) -> String,
+        json: Option<fn() -> Value>,
+    },
 }
 
-fn run_incasts(specs: &[CcSpec], senders: usize, ctx: &FigureCtx) -> Vec<IncastResult> {
-    let spec = fleet::SweepSpec {
-        name: format!("incast-{senders}"),
-        cc: specs.to_vec(),
-        workload: fleet::WorkloadAxis::Incast {
-            degrees: vec![senders],
-        },
-        ensemble: fleet::Ensemble::single(ctx.seed),
-    };
-    run_single_seed(&spec, ctx)
-        .into_iter()
-        .map(|r| r.into_incast().expect("incast sweep yields incast runs"))
-        .collect()
+/// One sweep of a figure and how its runs are shown.
+#[derive(Debug)]
+struct Panel {
+    title: &'static str,
+    cc: &'static [CcSpec],
+    workload: Workload,
+    view: View,
 }
 
-fn run_datacenters(
-    specs: &[CcSpec],
-    workload_names: &[&str],
-    ctx: &FigureCtx,
-) -> Vec<DatacenterResult> {
-    let mix: Vec<String> = workload_names.iter().map(|s| s.to_string()).collect();
-    let spec = fleet::SweepSpec {
-        name: format!("dc-{}", slug(&mix.join("-"))),
-        cc: specs.to_vec(),
-        workload: fleet::WorkloadAxis::Datacenter {
-            mixes: vec![mix],
-            loads: vec![0.5],
-            full_scale: ctx.scale == Scale::Full,
-        },
-        ensemble: fleet::Ensemble::single(ctx.seed),
-    };
-    run_single_seed(&spec, ctx)
-        .into_iter()
-        .map(|r| {
-            r.into_datacenter()
-                .expect("datacenter sweep yields datacenter runs")
-        })
-        .collect()
+/// A panel's workload axis, at offered load 0.5 where that applies.
+#[derive(Debug)]
+enum Workload {
+    /// Staggered incast at each sender count.
+    Incast(&'static [usize]),
+    /// Poisson arrivals from an even mix of these flow-size distributions.
+    Datacenter(&'static [&'static str]),
+    /// The same under every cell of [`FaultCell::paper_grid`].
+    Faults(&'static [&'static str]),
 }
 
-/// The variant set the paper's incast figures compare, per protocol.
-fn incast_specs(kind: ProtocolKind, with_vai_sf: bool) -> Vec<CcSpec> {
-    let mut v = vec![
-        CcSpec::new(kind, Variant::Default),
-        CcSpec::new(kind, Variant::HighAi),
-        CcSpec::new(kind, Variant::Probabilistic),
-    ];
-    if with_vai_sf {
-        v.push(CcSpec::new(kind, Variant::VaiSf));
-    }
-    v
+/// How a panel's runs are rendered (see [`views`]).
+#[derive(Debug)]
+enum View {
+    /// Jain-index and queue-depth series thinned to `rows`, plus summary.
+    JainQueue { rows: usize },
+    /// Start-vs-finish scatter.
+    StartFinish,
+    /// Tail (or median) FCT slowdown by flow size, thinned to `rows` bins.
+    Slowdown { median: bool, rows: usize },
+    /// A table specific to its row; has no JSON form.
+    Table(fn(&[RunOutput]) -> String),
 }
 
-/// Render Jain-index and queue-depth tables for a set of incast results.
-fn render_jain_queue(title: &str, results: &[IncastResult], rows: usize) -> String {
-    let mut out = format!("== {title} ==\n\n");
-
-    let mut header = vec!["t(us)".to_string()];
-    header.extend(results.iter().map(|r| format!("jain[{}]", r.label)));
-    let mut jain_tbl = TextTable::new(header);
-    let base = thin(&results[0].jain, rows);
-    for &(t, _) in &base {
-        let mut cells = vec![format!("{t:.0}")];
-        for r in results {
-            let v = r
-                .jain
-                .iter()
-                .min_by(|a, b| {
-                    (a.0 - t)
-                        .abs()
-                        .partial_cmp(&(b.0 - t).abs())
-                        .expect("no NaN")
-                })
-                .map(|&(_, j)| j);
-            cells.push(v.map(f3).unwrap_or_else(|| "-".into()));
-        }
-        jain_tbl.row(cells);
-    }
-    out.push_str(&jain_tbl.render());
-
-    let mut header = vec!["t(us)".to_string()];
-    header.extend(results.iter().map(|r| format!("queueKB[{}]", r.label)));
-    let mut q_tbl = TextTable::new(header);
-    let base = thin(&results[0].queue, rows);
-    for &(t, _) in &base {
-        let mut cells = vec![format!("{t:.0}")];
-        for r in results {
-            let v = r
-                .queue
-                .iter()
-                .min_by(|a, b| {
-                    (a.0 - t)
-                        .abs()
-                        .partial_cmp(&(b.0 - t).abs())
-                        .expect("no NaN")
-                })
-                .map(|&(_, q)| q);
-            cells.push(
-                v.map(|q| format!("{:.1}", q as f64 / 1e3))
-                    .unwrap_or_else(|| "-".into()),
-            );
-        }
-        q_tbl.row(cells);
-    }
-    out.push('\n');
-    out.push_str(&q_tbl.render());
-
-    out.push_str("\nSummary (per variant):\n");
-    let mut s = TextTable::new(vec![
-        "variant",
-        "converge@0.9(us)",
-        "unfairness integral",
-        "peak queue(KB)",
-        "mean queue(KB)",
-        "finish spread(us)",
-        "all finished",
-    ]);
-    for r in results {
-        s.row(vec![
-            r.label.clone(),
-            r.convergence_time(0.9)
-                .map(|t| format!("{t:.0}"))
-                .unwrap_or_else(|| "never".into()),
-            format!("{:.0}", r.unfairness_integral()),
-            format!("{:.1}", r.peak_queue() as f64 / 1e3),
-            format!("{:.1}", r.mean_queue() / 1e3),
-            format!("{:.0}", r.finish_spread_us()),
-            r.all_finished.to_string(),
-        ]);
-    }
-    out.push_str(&s.render());
-    out
-}
-
-/// Render a start-vs-finish scatter as a table.
-fn render_start_finish(title: &str, results: &[IncastResult]) -> String {
-    let mut out = format!("== {title} ==\n\n");
-    let mut header = vec!["flow".to_string(), "start(us)".to_string()];
-    header.extend(results.iter().map(|r| format!("finish(us)[{}]", r.label)));
-    let mut tbl = TextTable::new(header);
-    let base = results[0].start_finish();
-    for (i, &(start, _)) in base.iter().enumerate() {
-        let mut cells = vec![format!("{i}"), format!("{start:.0}")];
-        for r in results {
-            let sf = r.start_finish();
-            cells.push(
-                sf.get(i)
-                    .map(|&(_, f)| format!("{f:.0}"))
-                    .unwrap_or_else(|| "-".into()),
-            );
-        }
-        tbl.row(cells);
-    }
-    out.push_str(&tbl.render());
-    out.push_str("\nFinish spread (last - first completion):\n");
-    for r in results {
-        out.push_str(&format!(
-            "  {:<22} {:>8.0} us\n",
-            r.label,
-            r.finish_spread_us()
-        ));
-    }
-    out
-}
-
-/// Figure 1: Jain index and queue depth, 16-1 incast, HPCC and Swift
-/// baselines (default / 1 Gbps AI / probabilistic).
-pub fn fig1(ctx: &FigureCtx) -> String {
-    let mut out = String::new();
-    for kind in [ProtocolKind::Hpcc, ProtocolKind::Swift] {
-        let results = run_incasts(&incast_specs(kind, false), 16, ctx);
-        let name = if kind == ProtocolKind::Hpcc {
-            "Fig 1(a,b): 16-1 incast, HPCC"
-        } else {
-            "Fig 1(c,d): 16-1 incast, Swift"
+impl Panel {
+    /// Run the panel's sweep at the context's seed and scale, one run per
+    /// cell in expansion order (workload points outer, `cc` inner). Named
+    /// after the figure, which prefixes the runs' trace artifacts.
+    fn run(&self, figure: &str, ctx: &FigureCtx) -> Vec<RunOutput> {
+        let names = |mix: &[&str]| mix.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+        let full_scale = ctx.scale == Scale::Full;
+        let spec = SweepSpec {
+            name: figure.to_string(),
+            cc: self.cc.to_vec(),
+            workload: match self.workload {
+                Workload::Incast(degrees) => WorkloadAxis::Incast {
+                    degrees: degrees.to_vec(),
+                },
+                Workload::Datacenter(mix) => WorkloadAxis::Datacenter {
+                    mixes: vec![names(mix)],
+                    loads: vec![0.5],
+                    full_scale,
+                },
+                Workload::Faults(mix) => WorkloadAxis::Faults {
+                    mix: names(mix),
+                    loads: vec![0.5],
+                    cells: FaultCell::paper_grid(),
+                    full_scale,
+                },
+            },
+            ensemble: Ensemble::single(ctx.seed),
         };
-        out.push_str(&render_jain_queue(name, &results, 30));
-        out.push('\n');
+        fleet::run_sweep(&spec, &ctx.sweep)
+            .into_cells()
+            .into_iter()
+            .map(fleet::CellOutcome::into_only_run)
+            .collect()
     }
-    out
-}
 
-/// Figure 2: start vs finish, 16-1 staggered incast, HPCC baselines.
-pub fn fig2(ctx: &FigureCtx) -> String {
-    let results = run_incasts(&incast_specs(ProtocolKind::Hpcc, false), 16, ctx);
-    render_start_finish("Fig 2: start vs finish, 16-1 incast, HPCC", &results)
-}
-
-/// Figure 3: start vs finish, 16-1 staggered incast, Swift baselines.
-pub fn fig3(ctx: &FigureCtx) -> String {
-    let results = run_incasts(&incast_specs(ProtocolKind::Swift, false), 16, ctx);
-    render_start_finish("Fig 3: start vs finish, 16-1 incast, Swift", &results)
-}
-
-/// Figure 4: the fluid-model fairness difference.
-pub fn fig4() -> String {
-    let p = fluid::FluidParams::figure4();
-    let samples = fluid::integrate(&p, 600_000.0, 5.0, 30);
-    let mut out = String::from("== Fig 4: fluid model, per-RTT vs Sampling Frequency MD ==\n\n");
-    out.push_str(&format!(
-        "params: r={} ns, MTU={} B, s={}, beta={}, C1={} B/ns, C0={} B/ns\n",
-        p.rtt_ns, p.mtu, p.s, p.beta, p.c1, p.c0
-    ));
-    out.push_str(&format!(
-        "SF converges faster (1/r < (C1+C0)/(s*MTU)): {}\n\n",
-        p.sf_converges_faster()
-    ));
-    let mut tbl = TextTable::new(vec!["t(us)", "gap perRTT", "gap SF", "difference"]);
-    for s in &samples {
-        tbl.row(vec![
-            format!("{:.0}", s.t_ns / 1e3),
-            f3(s.gap_rtt()),
-            f3(s.gap_sf()),
-            f3(s.fairness_difference()),
-        ]);
-    }
-    out.push_str(&tbl.render());
-    let peak = samples
-        .iter()
-        .map(|s| s.fairness_difference())
-        .fold(f64::MIN, f64::max);
-    out.push_str(&format!(
-        "\npeak fairness difference: {peak:.3} B/ns (positive hump then decay, as in the paper)\n"
-    ));
-    out
-}
-
-/// Figure 5: 16-1 and 96-1 incast with HPCC variants including VAI SF.
-pub fn fig5(ctx: &FigureCtx) -> String {
-    let mut out = String::new();
-    for (senders, tag) in [(16, "(a,b)"), (96, "(c,d)")] {
-        let results = run_incasts(&incast_specs(ProtocolKind::Hpcc, true), senders, ctx);
-        out.push_str(&render_jain_queue(
-            &format!("Fig 5{tag}: {senders}-1 incast, HPCC"),
-            &results,
-            30,
-        ));
-        out.push('\n');
-    }
-    out
-}
-
-/// Figure 6: 16-1 and 96-1 incast with Swift variants including VAI SF.
-pub fn fig6(ctx: &FigureCtx) -> String {
-    let mut out = String::new();
-    for (senders, tag) in [(16, "(a,b)"), (96, "(c,d)")] {
-        let results = run_incasts(&incast_specs(ProtocolKind::Swift, true), senders, ctx);
-        out.push_str(&render_jain_queue(
-            &format!("Fig 6{tag}: {senders}-1 incast, Swift"),
-            &results,
-            30,
-        ));
-        out.push('\n');
-    }
-    out
-}
-
-/// Figure 8: start vs finish, HPCC default vs VAI SF.
-pub fn fig8(ctx: &FigureCtx) -> String {
-    let specs = [
-        CcSpec::new(ProtocolKind::Hpcc, Variant::Default),
-        CcSpec::new(ProtocolKind::Hpcc, Variant::VaiSf),
-    ];
-    let results = run_incasts(&specs, 16, ctx);
-    render_start_finish(
-        "Fig 8: start vs finish, 16-1 incast, HPCC vs HPCC VAI SF",
-        &results,
-    )
-}
-
-/// Figure 9: start vs finish, Swift default vs VAI SF.
-pub fn fig9(ctx: &FigureCtx) -> String {
-    let specs = [
-        CcSpec::new(ProtocolKind::Swift, Variant::Default),
-        CcSpec::new(ProtocolKind::Swift, Variant::VaiSf),
-    ];
-    let results = run_incasts(&specs, 16, ctx);
-    render_start_finish(
-        "Fig 9: start vs finish, 16-1 incast, Swift vs Swift VAI SF",
-        &results,
-    )
-}
-
-/// The four datacenter variants of Figures 10-13.
-fn datacenter_specs() -> Vec<CcSpec> {
-    vec![
-        CcSpec::new(ProtocolKind::Hpcc, Variant::Default),
-        CcSpec::new(ProtocolKind::Hpcc, Variant::VaiSf),
-        CcSpec::new(ProtocolKind::Swift, Variant::Default),
-        CcSpec::new(ProtocolKind::Swift, Variant::VaiSf),
-    ]
-}
-
-fn render_slowdown(title: &str, results: &[DatacenterResult], median: bool, rows: usize) -> String {
-    let mut out = format!("== {title} ==\n\n");
-    for r in results {
-        out.push_str(&format!(
-            "  {:<16} {} flows offered, {} completed\n",
-            r.label, r.n_flows, r.completed
-        ));
-    }
-    out.push('\n');
-    let stat = if median { "median" } else { "p99.9" };
-    let mut header = vec!["flow size".to_string()];
-    header.extend(results.iter().map(|r| format!("{stat}[{}]", r.label)));
-    let mut tbl = TextTable::new(header);
-    let base = &results[0].table.points;
-    // Evenly thin the bins but always keep the largest five (the long
-    // flows are the whole point of these figures).
-    let mut picks = thin(&(0..base.len()).collect::<Vec<_>>(), rows);
-    for i in base.len().saturating_sub(5)..base.len() {
-        if !picks.contains(&i) {
-            picks.push(i);
-        }
-    }
-    picks.sort_unstable();
-    for &i in &picks {
-        let mut cells = vec![fmt_size(base[i].size)];
-        for r in results {
-            let cell = r
-                .table
-                .points
-                .get(i)
-                .map(|p| f3(if median { p.median } else { p.tail }))
-                .unwrap_or_else(|| "-".into());
-            cells.push(cell);
-        }
-        tbl.row(cells);
-    }
-    out.push_str(&tbl.render());
-
-    // Paired per-flow comparison: variants at the same seed see the same
-    // flow list, so default-vs-VAI-SF pairs are directly comparable.
-    if results.len() >= 2 {
-        out.push_str("\nPaired per-flow comparison (baseline -> treatment):\n");
-        for pair in results.chunks(2) {
-            if pair.len() < 2 {
-                continue;
+    /// The panel's text under its title line, and its runs' JSON (none
+    /// for a [`View::Table`]).
+    fn render(&self, runs: &[RunOutput]) -> (String, Vec<Value>) {
+        let incast_json = || views::incasts(runs).into_iter().map(incast_value).collect();
+        let (body, json) = match self.view {
+            View::JainQueue { rows } => (
+                views::jain_queue(&views::incasts(runs), rows),
+                incast_json(),
+            ),
+            View::StartFinish => (views::start_finish(&views::incasts(runs)), incast_json()),
+            View::Slowdown { median, rows } => {
+                let results = views::datacenters(runs);
+                let json = results.iter().map(|r| datacenter_value(r)).collect();
+                (views::slowdown(&results, median, rows), json)
             }
-            let c = fairsim::PairedComparison::compute(&pair[0].raw, &pair[1].raw, LONG_FLOW_BYTES);
-            out.push_str(&format!(
-                "  {} -> {}: {} paired flows; long flows (> {}): {:.0}% improved, \
-                 geomean speedup {:.2}x\n",
-                pair[0].label,
-                pair[1].label,
-                c.n,
-                fmt_size(LONG_FLOW_BYTES),
-                c.long_frac_improved * 100.0,
-                c.long_geomean_speedup,
-            ));
-        }
-    }
-
-    out.push_str(&format!(
-        "\nLong-flow (>{}) {stat} slowdown summary:\n",
-        fmt_size(LONG_FLOW_BYTES)
-    ));
-    for r in results {
-        let vals: Vec<f64> = r
-            .table
-            .points
-            .iter()
-            .filter(|p| p.size > LONG_FLOW_BYTES)
-            .map(|p| if median { p.median } else { p.tail })
-            .collect();
-        let mean = if vals.is_empty() {
-            f64::NAN
-        } else {
-            vals.iter().sum::<f64>() / vals.len() as f64
+            View::Table(table) => (table(runs), Vec::new()),
         };
-        out.push_str(&format!("  {:<16} mean {stat} = {mean:.1}x\n", r.label));
+        (format!("== {} ==\n\n{body}", self.title), json)
     }
-    out
 }
 
-/// Figure 10: 99.9% FCT slowdown vs flow size, Hadoop traffic.
-pub fn fig10(ctx: &FigureCtx) -> String {
-    let results = run_datacenters(&datacenter_specs(), &[distributions::FB_HADOOP], ctx);
-    render_slowdown(
-        "Fig 10: 99.9% FCT slowdown, Hadoop traffic",
-        &results,
-        false,
-        25,
-    )
-}
-
-/// Figure 11: 99.9% FCT slowdown, WebSearch + Alibaba storage mix.
-pub fn fig11(ctx: &FigureCtx) -> String {
-    let results = run_datacenters(
-        &datacenter_specs(),
-        &[distributions::WEBSEARCH, distributions::ALI_STORAGE],
-        ctx,
-    );
-    render_slowdown(
-        "Fig 11: 99.9% FCT slowdown, WebSearch + Storage traffic",
-        &results,
-        false,
-        25,
-    )
-}
-
-/// Figure 12: median FCT slowdown, Hadoop traffic.
-pub fn fig12(ctx: &FigureCtx) -> String {
-    let results = run_datacenters(&datacenter_specs(), &[distributions::FB_HADOOP], ctx);
-    render_slowdown(
-        "Fig 12: median FCT slowdown, Hadoop traffic",
-        &results,
-        true,
-        25,
-    )
-}
-
-/// Figure 13: median FCT slowdown, WebSearch + Storage mix.
-pub fn fig13(ctx: &FigureCtx) -> String {
-    let results = run_datacenters(
-        &datacenter_specs(),
-        &[distributions::WEBSEARCH, distributions::ALI_STORAGE],
-        ctx,
-    );
-    render_slowdown(
-        "Fig 13: median FCT slowdown, WebSearch + Storage traffic",
-        &results,
-        true,
-        25,
-    )
-}
-
-/// Fault sweep: FCT-slowdown CDFs under fabric wire loss and a flapping
-/// agg–spine link, baseline HPCC vs VAI+SF.
-///
-/// This is the robustness companion to Figures 10-13: the fault plan
-/// injects loss (triggering go-back-N recovery and exponential RTO
-/// backoff) and periodic link flaps (triggering failover reroutes), and
-/// the figure checks that fast convergence to fairness survives — and
-/// that no cell wedges (every run outcome is reported).
-pub fn faults(ctx: &FigureCtx) -> String {
-    let flap = Some((Nanos::from_micros(200), Nanos::from_micros(40)));
-    // The sweep grid: loss rate x flap cadence, plus a clean reference
-    // cell (which must reproduce the fault-free baseline bit-for-bit).
-    let cell = |name: &str, loss: f64, flap: Option<(Nanos, Nanos)>| fleet::FaultCell {
-        name: name.to_string(),
-        loss,
-        bursty: false,
-        flap,
-    };
-    let grid = vec![
-        cell("clean", 0.0, None),
-        cell("loss 1e-4", 1e-4, None),
-        cell("loss 1e-3", 1e-3, None),
-        cell("flap 200us", 0.0, flap),
-        cell("loss 1e-3 + flap", 1e-3, flap),
-    ];
-    let names: Vec<String> = grid.iter().map(|c| c.name.clone()).collect();
-    let spec = fleet::SweepSpec {
-        name: "faults".to_string(),
-        cc: vec![
-            CcSpec::new(ProtocolKind::Hpcc, Variant::Default),
-            CcSpec::new(ProtocolKind::Hpcc, Variant::VaiSf),
-        ],
-        workload: fleet::WorkloadAxis::Faults {
-            mix: vec![distributions::FB_HADOOP.to_string()],
-            loads: vec![0.5],
-            cells: grid,
-            full_scale: ctx.scale == Scale::Full,
-        },
-        ensemble: fleet::Ensemble::single(ctx.seed),
-    };
-    // Expansion order is grid cells outer, cc inner, so runs come back as
-    // (baseline, treatment) pairs per grid cell.
-    let mut runs = run_single_seed(&spec, ctx)
-        .into_iter()
-        .map(|r| r.into_fault().expect("fault sweep yields fault runs"));
-    let results: Vec<(String, FaultResult, FaultResult)> = names
-        .into_iter()
-        .map(|name| {
-            let b = runs.next().expect("two runs per fault-grid cell");
-            let t = runs.next().expect("two runs per fault-grid cell");
-            (name, b, t)
+impl Figure {
+    /// The row called `name`; the error is the line `repro` dies with.
+    pub fn named(name: &str) -> Result<&'static Figure, String> {
+        FIGURES.iter().find(|f| f.name == name).ok_or_else(|| {
+            format!("unknown figure '{name}' (fig7 is the topology diagram; run `repro list`)")
         })
-        .collect();
+    }
 
-    let mut out =
-        String::from("== Fault sweep: FCT slowdown CDFs under loss and link flaps ==\n\n");
-    let mut tbl = TextTable::new(vec![
-        "cell", "variant", "offered", "done", "p50", "p90", "p99", "p99.9", "outcome",
-    ]);
-    for (name, b, t) in &results {
-        for r in [b, t] {
-            let mut v: Vec<f64> = r.raw.iter().map(|&(_, _, s)| s).collect();
-            v.sort_by(|a, b| a.partial_cmp(b).expect("no NaN"));
-            // Interpolating, like the sweep reports, so `--faults` and `--sweep
-            // paper-faults` agree; a cell that completed nothing has no tail.
-            let pct = |p: f64| match v.as_slice() {
-                [] => "-".to_string(),
-                sorted => f3(metrics::percentile_sorted(sorted, p)),
-            };
-            tbl.row(vec![
-                name.clone(),
-                r.label.clone(),
-                r.n_flows.to_string(),
-                r.completed.to_string(),
-                pct(50.0),
-                pct(90.0),
-                pct(99.0),
-                pct(99.9),
-                r.outcome.name().to_string(),
-            ]);
+    /// Whether `--json` has anything to print: every panel's view has a
+    /// JSON form, or the custom row brings its own. Known without running.
+    pub fn has_json(&self) -> bool {
+        match self.body {
+            Body::Panels(panels) => panels.iter().all(|p| !matches!(p.view, View::Table(_))),
+            Body::Custom { json, .. } => json.is_some(),
         }
     }
-    out.push_str(&tbl.render());
 
-    out.push_str("\nFault-subsystem counters:\n");
-    let mut ftbl = TextTable::new(vec![
-        "cell",
-        "variant",
-        "wire drops",
-        "link-down drops",
-        "reroutes",
-        "rto fires",
-    ]);
-    for (name, b, t) in &results {
-        for r in [b, t] {
-            ftbl.row(vec![
-                name.clone(),
-                r.label.clone(),
-                r.faults.wire_drops.to_string(),
-                r.faults.link_down_drops.to_string(),
-                r.faults.reroutes.to_string(),
-                r.faults.rto_fires.to_string(),
-            ]);
-        }
-    }
-    out.push_str(&ftbl.render());
-
-    out.push_str("\nPaired per-flow comparison (baseline -> VAI+SF):\n");
-    for (name, b, t) in &results {
-        let c = fairsim::PairedComparison::compute(&b.raw, &t.raw, LONG_FLOW_BYTES);
-        out.push_str(&format!(
-            "  {name:<18} {} paired flows; long flows (> {}): {:.0}% improved, \
-             geomean speedup {:.2}x\n",
-            c.n,
-            fmt_size(LONG_FLOW_BYTES),
-            c.long_frac_improved * 100.0,
-            c.long_geomean_speedup,
-        ));
-    }
-    out
-}
-
-/// Ablation: VAI alone vs SF alone vs both (16-1 incast, HPCC).
-pub fn ablation_mechanisms(ctx: &FigureCtx) -> String {
-    let specs = [
-        CcSpec::new(ProtocolKind::Hpcc, Variant::Default),
-        CcSpec::new(ProtocolKind::Hpcc, Variant::Vai),
-        CcSpec::new(ProtocolKind::Hpcc, Variant::Sf),
-        CcSpec::new(ProtocolKind::Hpcc, Variant::VaiSf),
-    ];
-    let results = run_incasts(&specs, 16, ctx);
-    render_jain_queue(
-        "Ablation: VAI / SF / VAI+SF, 16-1 incast, HPCC",
-        &results,
-        25,
-    )
-}
-
-/// Run the paper's staggered incast under HPCC VAI+SF with `tweak`
-/// applied to every flow's config — for ablations of parameters the
-/// `Variant` enum does not expose. Same scenario, same pipeline and same
-/// [`IncastResult`] as the stock runs; only the per-flow CC differs.
-fn run_incast_tweaked(
-    senders: usize,
-    ctx: &FigureCtx,
-    label: &str,
-    tweak: impl Fn(&mut cc_hpcc::HpccConfig),
-) -> IncastResult {
-    let spec = CcSpec::new(ProtocolKind::Hpcc, Variant::VaiSf);
-    let sc = IncastScenario::paper(senders, spec, ctx.seed);
-    let mut res = sc.run_with_cc(&ctx.run_ctx(), &|env, flow_seed| {
-        let mut cfg = cc_hpcc::HpccConfig::vai_sf(env.base_rtt, env.line_rate, env.min_bdp);
-        tweak(&mut cfg);
-        Box::new(cc_hpcc::Hpcc::new(cfg, dcsim::DetRng::new(flow_seed)))
-    });
-    res.label = label.to_string();
-    if let Some(tracer) = &res.trace {
-        write_trace_artifacts(ctx, label, tracer);
-    }
-    res
-}
-
-/// Ablation: Sampling Frequency cadence sweep (s in {5, 15, 30, 60, 120}).
-pub fn ablation_sf(ctx: &FigureCtx) -> String {
-    let mut out = String::from("== Ablation: SF cadence sweep, 16-1 incast, HPCC VAI+SF ==\n\n");
-    let mut tbl = TextTable::new(vec![
-        "s (ACKs)",
-        "converge@0.9(us)",
-        "peak queue(KB)",
-        "finish spread(us)",
-    ]);
-    for s in [5u32, 15, 30, 60, 120] {
-        let res = run_incast_tweaked(16, ctx, &format!("s={s}"), |cfg| {
-            cfg.sf = Some(faircc::SfConfig {
-                acks_per_decrease: s,
-            });
-        });
-        tbl.row(vec![
-            format!("{s}"),
-            res.convergence_time(0.9)
-                .map(|t| format!("{t:.0}"))
-                .unwrap_or_else(|| "never".into()),
-            format!("{:.1}", res.peak_queue() as f64 / 1e3),
-            format!("{:.0}", res.finish_spread_us()),
-        ]);
-    }
-    out.push_str(&tbl.render());
-    out
-}
-
-/// Ablation: the VAI dampener (paper Section IV-A). Disabling it lets the
-/// elevated AI feed back into fresh congestion during a 96-1 incast; the
-/// dampener bounds queues at equal fairness.
-pub fn ablation_dampener(ctx: &FigureCtx) -> String {
-    let mut out = String::from("== Ablation: VAI dampener on/off, 96-1 incast, HPCC VAI+SF ==\n\n");
-    let mut tbl = TextTable::new(vec![
-        "dampener",
-        "peak queue(KB)",
-        "mean queue(KB)",
-        "finish spread(us)",
-        "all finished",
-    ]);
-    for (label, constant) in [("enabled (8)", 8.0f64), ("disabled", f64::INFINITY)] {
-        let res = run_incast_tweaked(96, ctx, label, |cfg| {
-            if let Some(vai) = &mut cfg.vai {
-                // An infinite constant makes the divisor 1 regardless of
-                // the dampener value: the feedback brake is off.
-                vai.dampener_constant = constant;
+    /// Run the figure and render its text and JSON from the same runs.
+    pub fn run(&self, ctx: &FigureCtx) -> Rendered {
+        match self.body {
+            Body::Custom { title, text, json } => Rendered {
+                text: format!("== {title} ==\n\n{}", text(ctx, self.name)),
+                json: json.map(|json| json()),
+            },
+            Body::Panels(panels) => {
+                // A figure of several panels sets a blank line after each.
+                let gap = if panels.len() > 1 { "\n" } else { "" };
+                let mut text = String::new();
+                let mut json = Vec::new();
+                for panel in panels {
+                    let (panel_text, panel_json) = panel.render(&panel.run(self.name, ctx));
+                    text.push_str(&panel_text);
+                    text.push_str(gap);
+                    json.extend(panel_json);
+                }
+                Rendered {
+                    text,
+                    json: self.has_json().then_some(Value::Arr(json)),
+                }
             }
-        });
-        tbl.row(vec![
-            label.to_string(),
-            format!("{:.1}", res.peak_queue() as f64 / 1e3),
-            format!("{:.1}", res.mean_queue() / 1e3),
-            format!("{:.0}", res.finish_spread_us()),
-            res.all_finished.to_string(),
-        ]);
-    }
-    out.push_str(&tbl.render());
-    out.push_str(
-        "\nWithout the dampener, Variable AI's extra additive increase keeps\n\
-         regenerating the very congestion that mints its tokens.\n",
-    );
-    out
-}
-
-/// Ablation: Timely-style hyper AI on Swift (the paper's future-work
-/// suggestion for Swift's Hadoop median slowdown: "Swift may benefit
-/// from a hyper additive increase setting like in Timely, which can
-/// help grab available bandwidth").
-pub fn ablation_hyper_ai(ctx: &FigureCtx) -> String {
-    let hai = CcOptions::default().hyper_ai();
-    let specs = [
-        CcSpec::new(ProtocolKind::Swift, Variant::Default),
-        CcSpec::new(ProtocolKind::Swift, Variant::Default).with_options(hai),
-        CcSpec::new(ProtocolKind::Swift, Variant::VaiSf),
-        CcSpec::new(ProtocolKind::Swift, Variant::VaiSf).with_options(hai),
-    ];
-    let results = run_datacenters(&specs, &[distributions::FB_HADOOP], ctx);
-    let mut out = render_slowdown(
-        "Ablation: Swift hyper-AI (Timely-style), Hadoop traffic, median",
-        &results,
-        true,
-        15,
-    );
-    out.push_str(
-        "\nThe paper conjectures hyper AI repairs Swift's Hadoop median by\n\
-         grabbing freed bandwidth faster after congestion clears.\n",
-    );
-    out
-}
-
-/// Ablation: mechanism generality — Variable AI + Sampling Frequency on
-/// Timely, a third sender-side protocol neither evaluated in the paper
-/// nor sharing HPCC's or Swift's signal (RTT *gradient*). The paper
-/// claims the mechanisms are "broadly applicable to other sender
-/// reaction-based protocols"; this checks that claim.
-pub fn ablation_timely(ctx: &FigureCtx) -> String {
-    let specs = [
-        CcSpec::new(ProtocolKind::Timely, Variant::Default),
-        CcSpec::new(ProtocolKind::Timely, Variant::Sf),
-        CcSpec::new(ProtocolKind::Timely, Variant::VaiSf),
-    ];
-    let results = run_incasts(&specs, 16, ctx);
-    render_jain_queue(
-        "Ablation: VAI+SF generality on Timely, 16-1 incast",
-        &results,
-        25,
-    )
-}
-
-/// Ablation: permutation traffic — the classic fabric-fairness stressor.
-///
-/// Every host sends one large flow to a distinct destination (no incast);
-/// on a 1:1 fabric nothing would congest, so this uses an oversubscribed
-/// fat-tree (fabric links at host speed) where ECMP collisions create
-/// unequal shares. Convergence to fairness then decides how long the
-/// collided flows lag the clean ones.
-pub fn ablation_permutation(ctx: &FigureCtx) -> String {
-    use dcsim::Bytes;
-    let fat_tree = FatTreeConfig {
-        // Oversubscribed: fabric at host speed.
-        fabric_rate: dcsim::BitRate::from_gbps(100),
-        ..FatTreeConfig::reduced()
-    };
-    let arrivals = workloads::permutation(
-        fat_tree.num_hosts(),
-        Bytes::from_mb(4),
-        Nanos::ZERO,
-        ctx.seed ^ 0xBEEF,
-    );
-    let mut out =
-        String::from("== Ablation: permutation traffic on an oversubscribed fat-tree ==\n\n");
-    let mut tbl = TextTable::new(vec![
-        "variant",
-        "finish spread(us)",
-        "worst slowdown",
-        "median slowdown",
-        "all finished",
-    ]);
-    for (kind, variant) in [
-        (ProtocolKind::Hpcc, Variant::Default),
-        (ProtocolKind::Hpcc, Variant::VaiSf),
-        (ProtocolKind::Swift, Variant::Default),
-        (ProtocolKind::Swift, Variant::VaiSf),
-    ] {
-        let res = fairsim::TraceScenario {
-            fat_tree,
-            arrivals: arrivals.clone(),
-            cc: CcSpec::new(kind, variant),
-            deadline: Nanos::from_millis(50),
-            sample_interval: None,
         }
-        .run_with(&ctx.run_ctx());
-        if let Some(tracer) = &res.trace {
-            write_trace_artifacts(ctx, &res.label, tracer);
-        }
-        let finishes: Vec<f64> = res.fcts.iter().map(|r| r.finish.as_micros_f64()).collect();
-        let spread = finishes.iter().cloned().fold(f64::MIN, f64::max)
-            - finishes.iter().cloned().fold(f64::MAX, f64::min);
-        let slowdowns: Vec<f64> = res.raw.iter().map(|&(_, _, s)| s).collect();
-        tbl.row(vec![
-            res.label.clone(),
-            format!("{spread:.0}"),
-            format!("{:.2}", slowdowns.iter().cloned().fold(f64::MIN, f64::max)),
-            format!("{:.2}", metrics::median(&slowdowns)),
-            res.all_finished.to_string(),
-        ]);
     }
-    out.push_str(&tbl.render());
+}
+
+/// `N` variants of one protocol.
+const fn specs<const N: usize>(kind: ProtocolKind, variants: [Variant; N]) -> [CcSpec; N] {
+    let mut out = [CcSpec::new(kind, Variant::Default); N];
+    let mut i = 0;
+    while i < N {
+        out[i] = CcSpec::new(kind, variants[i]);
+        i += 1;
+    }
     out
 }
 
-/// Ablation (negative control): Sampling Frequency applied to *increases*
-/// as well as decreases — the design the paper explicitly rejects because
-/// high-rate flows would then also increase more often. Expect fairness
-/// to regress relative to decrease-only SF.
-pub fn ablation_sf_increases(ctx: &FigureCtx) -> String {
-    let mut out = String::from(
-        "== Ablation (negative control): SF gating increases too, 16-1 incast, HPCC ==\n\n",
-    );
-    let mut tbl = TextTable::new(vec![
-        "variant",
-        "converge@0.9(us)",
-        "unfairness integral",
-        "finish spread(us)",
-    ]);
-    for (label, on_increases) in [("SF decreases only (paper)", false), ("SF both ways", true)] {
-        let res = run_incast_tweaked(16, ctx, label, |cfg| cfg.sf_on_increases = on_increases);
-        tbl.row(vec![
-            label.to_string(),
-            res.convergence_time(0.9)
-                .map(|t| format!("{t:.0}"))
-                .unwrap_or_else(|| "never".into()),
-            format!("{:.0}", res.unfairness_integral()),
-            format!("{:.0}", res.finish_spread_us()),
-        ]);
-    }
-    out.push_str(&tbl.render());
-    out.push_str(
-        "\nThe paper's rule — SF must gate decreases only — holds: letting\n\
-         high-rate flows also *increase* more often cancels the benefit.\n",
-    );
-    out
-}
+/// The baselines the paper's incast figures compare: stock parameters,
+/// 1 Gbps AI, probabilistic feedback.
+const BASELINES: [Variant; 3] = [Variant::Default, Variant::HighAi, Variant::Probabilistic];
+/// The baselines plus the paper's mechanism.
+const WITH_VAI_SF: [Variant; 4] = [
+    Variant::Default,
+    Variant::HighAi,
+    Variant::Probabilistic,
+    Variant::VaiSf,
+];
+/// Baseline vs treatment.
+const PAIR: [Variant; 2] = [Variant::Default, Variant::VaiSf];
+/// The four variants of Figures 10-13: both protocols, baseline vs
+/// treatment, pairs adjacent.
+const BOTH_PAIRS: &[CcSpec] = &[
+    CcSpec::new(Hpcc, Variant::Default),
+    CcSpec::new(Hpcc, Variant::VaiSf),
+    CcSpec::new(Swift, Variant::Default),
+    CcSpec::new(Swift, Variant::VaiSf),
+];
+const HYPER_AI: CcOptions = CcOptions {
+    hyper_ai: true,
+    trace_sample_every: 0,
+};
 
-/// Ablation: incast-degree sweep — how the convergence benefit scales
-/// with the number of joining senders (8 to 96).
-pub fn ablation_degree(ctx: &FigureCtx) -> String {
-    let mut out = String::from("== Ablation: incast-degree sweep, HPCC default vs VAI SF ==\n\n");
-    let mut tbl = TextTable::new(vec![
-        "senders",
-        "spread default(us)",
-        "spread VAI SF(us)",
-        "improvement",
-    ]);
-    let degrees = vec![8usize, 16, 32, 64, 96];
-    let spec = fleet::SweepSpec {
-        name: "ablation-degree".to_string(),
-        cc: vec![
-            CcSpec::new(ProtocolKind::Hpcc, Variant::Default),
-            CcSpec::new(ProtocolKind::Hpcc, Variant::VaiSf),
-        ],
-        workload: fleet::WorkloadAxis::Incast {
-            degrees: degrees.clone(),
+const INCAST_16: Workload = Workload::Incast(&[16]);
+const INCAST_96: Workload = Workload::Incast(&[96]);
+/// The sender counts of `ablation-degree`.
+const DEGREES: &[usize] = &[8, 16, 32, 64, 96];
+const HADOOP: Workload = Workload::Datacenter(&[FB_HADOOP]);
+const WEB_STORAGE: Workload = Workload::Datacenter(&[WEBSEARCH, ALI_STORAGE]);
+
+const JAIN_QUEUE: View = View::JainQueue { rows: 30 };
+const TAIL_BY_SIZE: View = View::Slowdown {
+    median: false,
+    rows: 25,
+};
+const MEDIAN_BY_SIZE: View = View::Slowdown {
+    median: true,
+    rows: 25,
+};
+
+/// The figure `repro --faults` stands for.
+pub const FAULTS: &str = "faults";
+
+/// Every figure `repro` can run, in paper order (`repro list`, `repro
+/// all`). fig7 is the topology diagram, reproduced as
+/// `netsim::FatTreeConfig::paper()` and its unit tests.
+pub static FIGURES: &[Figure] = &[
+    Figure {
+        name: "fig1",
+        caption: "Jain index and queue depth, 16-1 incast, HPCC and Swift baselines",
+        body: Body::Panels(&[
+            Panel {
+                title: "Fig 1(a,b): 16-1 incast, HPCC",
+                cc: &specs(Hpcc, BASELINES),
+                workload: INCAST_16,
+                view: JAIN_QUEUE,
+            },
+            Panel {
+                title: "Fig 1(c,d): 16-1 incast, Swift",
+                cc: &specs(Swift, BASELINES),
+                workload: INCAST_16,
+                view: JAIN_QUEUE,
+            },
+        ]),
+    },
+    Figure {
+        name: "fig2",
+        caption: "start vs finish, 16-1 staggered incast, HPCC baselines",
+        body: Body::Panels(&[Panel {
+            title: "Fig 2: start vs finish, 16-1 incast, HPCC",
+            cc: &specs(Hpcc, BASELINES),
+            workload: INCAST_16,
+            view: View::StartFinish,
+        }]),
+    },
+    Figure {
+        name: "fig3",
+        caption: "start vs finish, 16-1 staggered incast, Swift baselines",
+        body: Body::Panels(&[Panel {
+            title: "Fig 3: start vs finish, 16-1 incast, Swift",
+            cc: &specs(Swift, BASELINES),
+            workload: INCAST_16,
+            view: View::StartFinish,
+        }]),
+    },
+    Figure {
+        name: "fig4",
+        caption: "the fluid-model fairness difference, per-RTT vs per-s-ACK decrease",
+        body: Body::Custom {
+            title: "Fig 4: fluid model, per-RTT vs Sampling Frequency MD",
+            text: custom::fluid_model,
+            json: Some(custom::fluid_model_json),
         },
-        ensemble: fleet::Ensemble::single(ctx.seed),
-    };
-    // One multi-degree sweep; cells come back (default, VAI SF) per degree.
-    let results: Vec<IncastResult> = run_single_seed(&spec, ctx)
-        .into_iter()
-        .map(|r| r.into_incast().expect("incast sweep yields incast runs"))
-        .collect();
-    for (senders, pair) in degrees.iter().zip(results.chunks_exact(2)) {
-        let d = pair[0].finish_spread_us();
-        let v = pair[1].finish_spread_us();
-        tbl.row(vec![
-            format!("{senders}"),
-            format!("{d:.0}"),
-            format!("{v:.0}"),
-            format!("{:.2}x", d / v.max(1.0)),
-        ]);
-    }
-    out.push_str(&tbl.render());
-    out
-}
-
-/// Ablation: PFC headroom — verify that with PFC enabled at realistic
-/// watermarks, no experiment ever pauses (queues stay far below XOFF).
-pub fn ablation_pfc(ctx: &FigureCtx) -> String {
-    let mut out = String::from("== Ablation: PFC headroom, 16-1 incast ==\n\n");
-    let mut tbl = TextTable::new(vec!["variant", "peak queue(KB)", "PFC XOFF(KB)", "margin"]);
-    let xoff = netsim::pfc::PfcConfig::default_100g().xoff;
-    let specs = [
-        CcSpec::new(ProtocolKind::Hpcc, Variant::Default),
-        CcSpec::new(ProtocolKind::Hpcc, Variant::VaiSf),
-        CcSpec::new(ProtocolKind::Swift, Variant::Default),
-        CcSpec::new(ProtocolKind::Swift, Variant::VaiSf),
-    ];
-    for res in run_incasts(&specs, 16, ctx) {
-        let peak = res.peak_queue();
-        tbl.row(vec![
-            res.label.clone(),
-            format!("{:.1}", peak as f64 / 1e3),
-            format!("{:.0}", xoff.as_f64() / 1e3),
-            format!("{:.1}x", xoff.as_f64() / peak.max(1) as f64),
-        ]);
-    }
-    out.push_str(&tbl.render());
-    out.push_str("\nAll margins > 1x mean PFC never engages on the paper's scenarios.\n");
-    out
-}
-
-/// Run a figure by name and emit machine-readable JSON instead of text
-/// tables. Covered: the incast figures (per-variant [`fairsim::IncastSummary`]),
-/// the datacenter figures (per-variant [`fairsim::DatacenterSummary`]),
-/// and fig4 (the fluid-model samples). `None` for unknown names or
-/// figures with no JSON form.
-pub fn run_figure_json(name: &str, ctx: &FigureCtx) -> Option<String> {
-    use fairsim::export::{to_json, DatacenterSummary, IncastSummary};
-    let incast = |specs: &[CcSpec], senders: usize| {
-        let summaries: Vec<IncastSummary> = run_incasts(specs, senders, ctx)
-            .iter()
-            .map(IncastSummary::from)
-            .collect();
-        to_json(&summaries)
-    };
-    let dc = |workloads: &[&str]| {
-        let summaries: Vec<DatacenterSummary> =
-            run_datacenters(&datacenter_specs(), workloads, ctx)
-                .iter()
-                .map(DatacenterSummary::from)
-                .collect();
-        to_json(&summaries)
-    };
-    Some(match name {
-        "fig1" | "fig2" | "fig3" => {
-            let mut all = Vec::new();
-            for kind in [ProtocolKind::Hpcc, ProtocolKind::Swift] {
-                all.extend(
-                    run_incasts(&incast_specs(kind, false), 16, ctx)
-                        .iter()
-                        .map(fairsim::IncastSummary::from),
-                );
-            }
-            fairsim::export::to_json(&all)
-        }
-        "fig5" => incast(&incast_specs(ProtocolKind::Hpcc, true), 16),
-        "fig6" => incast(&incast_specs(ProtocolKind::Swift, true), 16),
-        "fig8" => incast(
-            &[
-                CcSpec::new(ProtocolKind::Hpcc, Variant::Default),
-                CcSpec::new(ProtocolKind::Hpcc, Variant::VaiSf),
+    },
+    Figure {
+        name: "fig5",
+        caption: "16-1 and 96-1 incast, HPCC baselines vs VAI SF",
+        body: Body::Panels(&[
+            Panel {
+                title: "Fig 5(a,b): 16-1 incast, HPCC",
+                cc: &specs(Hpcc, WITH_VAI_SF),
+                workload: INCAST_16,
+                view: JAIN_QUEUE,
+            },
+            Panel {
+                title: "Fig 5(c,d): 96-1 incast, HPCC",
+                cc: &specs(Hpcc, WITH_VAI_SF),
+                workload: INCAST_96,
+                view: JAIN_QUEUE,
+            },
+        ]),
+    },
+    Figure {
+        name: "fig6",
+        caption: "16-1 and 96-1 incast, Swift baselines vs VAI SF",
+        body: Body::Panels(&[
+            Panel {
+                title: "Fig 6(a,b): 16-1 incast, Swift",
+                cc: &specs(Swift, WITH_VAI_SF),
+                workload: INCAST_16,
+                view: JAIN_QUEUE,
+            },
+            Panel {
+                title: "Fig 6(c,d): 96-1 incast, Swift",
+                cc: &specs(Swift, WITH_VAI_SF),
+                workload: INCAST_96,
+                view: JAIN_QUEUE,
+            },
+        ]),
+    },
+    Figure {
+        name: "fig8",
+        caption: "start vs finish, 16-1 incast, HPCC default vs VAI SF",
+        body: Body::Panels(&[Panel {
+            title: "Fig 8: start vs finish, 16-1 incast, HPCC vs HPCC VAI SF",
+            cc: &specs(Hpcc, PAIR),
+            workload: INCAST_16,
+            view: View::StartFinish,
+        }]),
+    },
+    Figure {
+        name: "fig9",
+        caption: "start vs finish, 16-1 incast, Swift default vs VAI SF",
+        body: Body::Panels(&[Panel {
+            title: "Fig 9: start vs finish, 16-1 incast, Swift vs Swift VAI SF",
+            cc: &specs(Swift, PAIR),
+            workload: INCAST_16,
+            view: View::StartFinish,
+        }]),
+    },
+    Figure {
+        name: "fig10",
+        caption: "99.9% FCT slowdown vs flow size, Hadoop traffic",
+        body: Body::Panels(&[Panel {
+            title: "Fig 10: 99.9% FCT slowdown, Hadoop traffic",
+            cc: BOTH_PAIRS,
+            workload: HADOOP,
+            view: TAIL_BY_SIZE,
+        }]),
+    },
+    Figure {
+        name: "fig11",
+        caption: "99.9% FCT slowdown vs flow size, WebSearch + Alibaba storage mix",
+        body: Body::Panels(&[Panel {
+            title: "Fig 11: 99.9% FCT slowdown, WebSearch + Storage traffic",
+            cc: BOTH_PAIRS,
+            workload: WEB_STORAGE,
+            view: TAIL_BY_SIZE,
+        }]),
+    },
+    Figure {
+        name: "fig12",
+        caption: "median FCT slowdown vs flow size, Hadoop traffic",
+        body: Body::Panels(&[Panel {
+            title: "Fig 12: median FCT slowdown, Hadoop traffic",
+            cc: BOTH_PAIRS,
+            workload: HADOOP,
+            view: MEDIAN_BY_SIZE,
+        }]),
+    },
+    Figure {
+        name: "fig13",
+        caption: "median FCT slowdown vs flow size, WebSearch + Alibaba storage mix",
+        body: Body::Panels(&[Panel {
+            title: "Fig 13: median FCT slowdown, WebSearch + Storage traffic",
+            cc: BOTH_PAIRS,
+            workload: WEB_STORAGE,
+            view: MEDIAN_BY_SIZE,
+        }]),
+    },
+    Figure {
+        name: "ablation-mechanisms",
+        caption: "VAI alone vs SF alone vs both, 16-1 incast, HPCC",
+        body: Body::Panels(&[Panel {
+            title: "Ablation: VAI / SF / VAI+SF, 16-1 incast, HPCC",
+            cc: &specs(
+                Hpcc,
+                [Variant::Default, Variant::Vai, Variant::Sf, Variant::VaiSf],
+            ),
+            workload: INCAST_16,
+            view: View::JainQueue { rows: 25 },
+        }]),
+    },
+    Figure {
+        name: "ablation-sf",
+        caption: "Sampling Frequency cadence sweep, s in {5, 15, 30, 60, 120} ACKs",
+        body: Body::Custom {
+            title: "Ablation: SF cadence sweep, 16-1 incast, HPCC VAI+SF",
+            text: custom::sf_cadence,
+            json: None,
+        },
+    },
+    Figure {
+        name: "ablation-dampener",
+        caption: "the VAI dampener on/off under a 96-1 incast (paper Section IV-A)",
+        body: Body::Custom {
+            title: "Ablation: VAI dampener on/off, 96-1 incast, HPCC VAI+SF",
+            text: custom::dampener,
+            json: None,
+        },
+    },
+    Figure {
+        name: "ablation-hyper-ai",
+        caption: "Timely-style hyper AI on Swift, the paper's future-work suggestion",
+        body: Body::Panels(&[Panel {
+            title: "Ablation: Swift hyper-AI (Timely-style), Hadoop traffic, median",
+            cc: &[
+                CcSpec::new(Swift, Variant::Default),
+                CcSpec::new(Swift, Variant::Default).with_options(HYPER_AI),
+                CcSpec::new(Swift, Variant::VaiSf),
+                CcSpec::new(Swift, Variant::VaiSf).with_options(HYPER_AI),
             ],
-            16,
-        ),
-        "fig9" => incast(
-            &[
-                CcSpec::new(ProtocolKind::Swift, Variant::Default),
-                CcSpec::new(ProtocolKind::Swift, Variant::VaiSf),
-            ],
-            16,
-        ),
-        "fig4" => {
-            let p = fluid::FluidParams::figure4();
-            let samples = fluid::integrate(&p, 600_000.0, 5.0, 120);
-            let rows: Vec<minijson::Value> = samples
-                .iter()
-                .map(|s| minijson::arr([s.t_ns, s.gap_rtt(), s.gap_sf(), s.fairness_difference()]))
-                .collect();
-            minijson::Value::Arr(rows).pretty()
-        }
-        "fig10" | "fig12" => dc(&[distributions::FB_HADOOP]),
-        "fig11" | "fig13" => dc(&[distributions::WEBSEARCH, distributions::ALI_STORAGE]),
-        _ => return None,
-    })
-}
-
-/// Run a figure by name; `None` if unknown.
-pub fn run_figure(name: &str, ctx: &FigureCtx) -> Option<String> {
-    Some(match name {
-        "fig1" => fig1(ctx),
-        "fig2" => fig2(ctx),
-        "fig3" => fig3(ctx),
-        "fig4" => fig4(),
-        "fig5" => fig5(ctx),
-        "fig6" => fig6(ctx),
-        "fig8" => fig8(ctx),
-        "fig9" => fig9(ctx),
-        "fig10" => fig10(ctx),
-        "fig11" => fig11(ctx),
-        "fig12" => fig12(ctx),
-        "fig13" => fig13(ctx),
-        "ablation-mechanisms" => ablation_mechanisms(ctx),
-        "ablation-sf" => ablation_sf(ctx),
-        "ablation-dampener" => ablation_dampener(ctx),
-        "ablation-hyper-ai" => ablation_hyper_ai(ctx),
-        "ablation-timely" => ablation_timely(ctx),
-        "ablation-permutation" => ablation_permutation(ctx),
-        "ablation-sf-increases" => ablation_sf_increases(ctx),
-        "ablation-degree" => ablation_degree(ctx),
-        "ablation-pfc" => ablation_pfc(ctx),
-        "faults" => faults(ctx),
-        _ => return None,
-    })
-}
-
-/// Every figure name, in paper order.
-pub const ALL_FIGURES: &[&str] = &[
-    "fig1",
-    "fig2",
-    "fig3",
-    "fig4",
-    "fig5",
-    "fig6",
-    "fig8",
-    "fig9",
-    "fig10",
-    "fig11",
-    "fig12",
-    "fig13",
-    "ablation-mechanisms",
-    "ablation-sf",
-    "ablation-dampener",
-    "ablation-hyper-ai",
-    "ablation-timely",
-    "ablation-permutation",
-    "ablation-sf-increases",
-    "ablation-degree",
-    "ablation-pfc",
-    "faults",
+            workload: HADOOP,
+            view: View::Table(views::hyper_ai_table),
+        }]),
+    },
+    Figure {
+        name: "ablation-timely",
+        caption: "mechanism generality: VAI + SF on Timely, a third sender-side protocol",
+        body: Body::Panels(&[Panel {
+            title: "Ablation: VAI+SF generality on Timely, 16-1 incast",
+            cc: &specs(Timely, [Variant::Default, Variant::Sf, Variant::VaiSf]),
+            workload: INCAST_16,
+            view: View::JainQueue { rows: 25 },
+        }]),
+    },
+    Figure {
+        name: "ablation-permutation",
+        caption: "permutation traffic on an oversubscribed fat-tree (boundary of applicability)",
+        body: Body::Custom {
+            title: "Ablation: permutation traffic on an oversubscribed fat-tree",
+            text: custom::permutation,
+            json: None,
+        },
+    },
+    Figure {
+        name: "ablation-sf-increases",
+        caption: "negative control: SF gating increases as well as decreases",
+        body: Body::Custom {
+            title: "Ablation (negative control): SF gating increases too, 16-1 incast, HPCC",
+            text: custom::sf_increases,
+            json: None,
+        },
+    },
+    Figure {
+        name: "ablation-degree",
+        caption: "incast-degree sweep, 8 to 96 senders, HPCC default vs VAI SF",
+        body: Body::Panels(&[Panel {
+            title: "Ablation: incast-degree sweep, HPCC default vs VAI SF",
+            cc: &specs(Hpcc, PAIR),
+            workload: Workload::Incast(DEGREES),
+            view: View::Table(views::degree_table),
+        }]),
+    },
+    Figure {
+        name: "ablation-pfc",
+        caption: "PFC headroom: peak queues against the XOFF watermark, 16-1 incast",
+        body: Body::Panels(&[Panel {
+            title: "Ablation: PFC headroom, 16-1 incast",
+            cc: BOTH_PAIRS,
+            workload: INCAST_16,
+            view: View::Table(views::pfc_table),
+        }]),
+    },
+    Figure {
+        name: FAULTS,
+        caption: "FCT slowdown under fabric wire loss and a flapping link, HPCC vs VAI+SF",
+        body: Body::Panels(&[Panel {
+            title: "Fault sweep: FCT slowdown CDFs under loss and link flaps",
+            cc: &specs(Hpcc, PAIR),
+            workload: Workload::Faults(&[FB_HADOOP]),
+            view: View::Table(views::fault_tables),
+        }]),
+    },
 ];
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    #[test]
-    fn fig4_is_cheap_and_correct() {
-        let s = fig4();
-        assert!(s.contains("SF converges faster"));
-        assert!(s.contains("true"));
+    fn ctx() -> FigureCtx {
+        FigureCtx::new(Scale::Reduced, DEFAULT_SEED)
     }
 
     #[test]
-    fn run_figure_rejects_unknown() {
-        let ctx = FigureCtx::new(Scale::Reduced, 1);
-        assert!(run_figure("fig7", &ctx).is_none()); // topology diagram
-        assert!(run_figure("fig4", &ctx).is_some());
+    fn the_table_names_every_figure_once_in_paper_order() {
+        let names: Vec<&str> = FIGURES.iter().map(|f| f.name).collect();
+        let paper_order = [
+            "fig1",
+            "fig2",
+            "fig3",
+            "fig4",
+            "fig5",
+            "fig6",
+            "fig8",
+            "fig9",
+            "fig10",
+            "fig11",
+            "fig12",
+            "fig13",
+            "ablation-mechanisms",
+            "ablation-sf",
+            "ablation-dampener",
+            "ablation-hyper-ai",
+            "ablation-timely",
+            "ablation-permutation",
+            "ablation-sf-increases",
+            "ablation-degree",
+            "ablation-pfc",
+            "faults",
+        ];
+        assert_eq!(names, paper_order, "`repro list` / `repro all` order");
+        for (i, f) in FIGURES.iter().enumerate() {
+            assert!(!names[..i].contains(&f.name), "{} appears twice", f.name);
+            assert!(!f.caption.is_empty() && !f.caption.contains('\n'));
+            assert_eq!(Figure::named(f.name).map(|g| g.name), Ok(f.name));
+        }
+        for n in (1..=6).chain(8..=13) {
+            assert!(
+                Figure::named(&format!("fig{n}")).is_ok(),
+                "paper figure {n}"
+            );
+        }
+        let fig7 = Figure::named("fig7").expect_err("fig7 is not a runnable figure");
+        assert!(fig7.contains("topology diagram"), "{fig7}");
     }
 
     /// The cells after `label` in the table row that starts with it.
@@ -1153,27 +605,35 @@ mod tests {
     /// fig5's 16-1 "HPCC VAI SF" summary row reports for the same run.
     #[test]
     fn ablation_paper_rows_agree_with_fig5() {
-        let ctx = FigureCtx::new(Scale::Reduced, DEFAULT_SEED);
-        let vai_sf = CcSpec::new(ProtocolKind::Hpcc, Variant::VaiSf);
-        let fig5 = render_jain_queue("", &run_incasts(&[vai_sf], 16, &ctx), 30);
+        let fig5 = Figure::named("fig5").expect("in the table");
+        let Body::Panels([panel_16_1, _]) = fig5.body else {
+            panic!("fig5 is two sweep panels");
+        };
+        let (text, _) = panel_16_1.render(&panel_16_1.run(fig5.name, &ctx()));
+        let summary = text.split("Summary").nth(1).expect("a summary table");
         // converge@0.9, unfairness integral, peak queue, mean queue,
         // finish spread, all finished
-        let want = row(&fig5, "HPCC VAI SF");
+        let want = row(summary, "HPCC VAI SF");
 
-        let sf_increases = ablation_sf_increases(&ctx);
+        let text = |name: &str| Figure::named(name).expect("in the table").run(&ctx()).text;
+        let sf_increases = text("ablation-sf-increases");
         let paper = row(&sf_increases, "SF decreases only (paper)");
         assert_eq!(paper, [want[0], want[1], want[4]], "{sf_increases}");
 
-        let sf = ablation_sf(&ctx);
+        let sf = text("ablation-sf");
         assert_eq!(row(&sf, "30"), [want[0], want[2], want[4]], "{sf}");
     }
 
     #[test]
     fn fig4_json_is_valid() {
-        let ctx = FigureCtx::new(Scale::Reduced, 1);
-        let json = run_figure_json("fig4", &ctx).unwrap();
-        let v = minijson::Value::parse(&json).unwrap();
-        assert!(v.as_array().unwrap().len() > 100);
-        assert!(run_figure_json("ablation-pfc", &ctx).is_none());
+        let fig4 = Figure::named("fig4").expect("in the table").run(&ctx());
+        assert!(fig4.text.contains("SF converges faster"));
+        assert!(fig4.text.contains("true"));
+        let json = fig4.json.expect("fig4 has a JSON form").pretty();
+        let v = Value::parse(&json).expect("valid JSON");
+        assert!(v.as_array().expect("an array of samples").len() > 100);
+        assert!(!Figure::named("ablation-pfc")
+            .expect("in the table")
+            .has_json());
     }
 }

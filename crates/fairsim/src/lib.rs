@@ -24,7 +24,8 @@
 //!
 //! `fairsim` is what the `repro` binary (in the `bench` crate) and the
 //! workspace examples call into; it contains no figure-rendering logic of
-//! its own beyond plain text/CSV tables ([`render`]).
+//! its own beyond plain text tables ([`render`]) and per-run JSON
+//! trees ([`export`]).
 
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
@@ -37,7 +38,6 @@ pub mod series;
 pub mod spec;
 
 pub use analysis::PairedComparison;
-pub use export::{DatacenterSummary, IncastSummary};
 pub use scenarios::{
     DatacenterResult, DatacenterScenario, FaultResult, FaultScenario, IncastResult, IncastScenario,
     RunCtx, Scenario, TraceResult, TraceScenario,

@@ -1,8 +1,8 @@
-//! Plain-text and CSV rendering for the figure harness.
+//! Plain-text rendering for the figure harness.
 //!
 //! The `repro` binary prints each figure as an aligned text table (the
-//! "same rows/series the paper reports") and can also emit CSV for
-//! downstream plotting.
+//! "same rows/series the paper reports"); machine-readable output is
+//! JSON ([`crate::export`]).
 
 use std::fmt::Write as _;
 
@@ -56,25 +56,6 @@ impl TextTable {
         }
         out
     }
-
-    /// Render as CSV.
-    pub fn to_csv(&self) -> String {
-        let mut out = String::new();
-        let esc = |s: &String| {
-            if s.contains(',') || s.contains('"') {
-                format!("\"{}\"", s.replace('"', "\"\""))
-            } else {
-                s.clone()
-            }
-        };
-        out.push_str(&self.header.iter().map(esc).collect::<Vec<_>>().join(","));
-        out.push('\n');
-        for row in &self.rows {
-            out.push_str(&row.iter().map(esc).collect::<Vec<_>>().join(","));
-            out.push('\n');
-        }
-        out
-    }
 }
 
 /// Format a byte count the way the paper's axes do (KB/MB).
@@ -110,14 +91,6 @@ mod tests {
         // Right-aligned numbers line up at the column edge.
         assert!(lines[2].ends_with("0.500"));
         assert!(lines[3].ends_with("1.000"));
-    }
-
-    #[test]
-    fn csv_escapes_commas() {
-        let mut t = TextTable::new(vec!["a", "b"]);
-        t.row(vec!["x,y", "plain"]);
-        let csv = t.to_csv();
-        assert!(csv.contains("\"x,y\",plain"));
     }
 
     #[test]

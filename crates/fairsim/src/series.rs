@@ -1,6 +1,4 @@
-//! Derived figure series and cross-variant comparisons.
-
-use crate::scenarios::IncastResult;
+//! Derived figure series.
 
 /// Downsample a `(x, y)` series to at most `n` evenly spaced points
 /// (keeps first and last). Figures don't need every 5 µs sample.
@@ -16,49 +14,9 @@ pub fn thin<T: Copy>(series: &[T], n: usize) -> Vec<T> {
     out
 }
 
-/// Align several incast results into one Jain-index comparison table:
-/// rows are sample times of the first result, columns are variants. Times
-/// where a variant has no sample carry `None`.
-pub fn jain_comparison(results: &[IncastResult]) -> Vec<(f64, Vec<Option<f64>>)> {
-    let Some(first) = results.first() else {
-        return Vec::new();
-    };
-    first
-        .jain
-        .iter()
-        .map(|&(t, _)| {
-            let row = results
-                .iter()
-                .map(|r| {
-                    r.jain
-                        .iter()
-                        .find(|&&(rt, _)| (rt - t).abs() < 1e-6)
-                        .map(|&(_, j)| j)
-                })
-                .collect();
-            (t, row)
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn res(jain: Vec<(f64, f64)>) -> IncastResult {
-        IncastResult {
-            label: "x".into(),
-            jain,
-            queue: vec![],
-            fcts: vec![],
-            raw: vec![],
-            all_finished: true,
-            outcome: netsim::RunOutcome::Completed,
-            events_handled: 0,
-            occupancy_hwm: 0,
-            trace: None,
-        }
-    }
 
     #[test]
     fn thin_keeps_endpoints() {
@@ -73,20 +31,5 @@ mod tests {
     fn thin_short_series_untouched() {
         let s = vec![1, 2, 3];
         assert_eq!(thin(&s, 10), s);
-    }
-
-    #[test]
-    fn comparison_aligns_on_first_result() {
-        let a = res(vec![(0.0, 0.5), (5.0, 0.9)]);
-        let b = res(vec![(0.0, 0.7)]);
-        let rows = jain_comparison(&[a, b]);
-        assert_eq!(rows.len(), 2);
-        assert_eq!(rows[0].1, vec![Some(0.5), Some(0.7)]);
-        assert_eq!(rows[1].1, vec![Some(0.9), None]);
-    }
-
-    #[test]
-    fn empty_comparison() {
-        assert!(jain_comparison(&[]).is_empty());
     }
 }

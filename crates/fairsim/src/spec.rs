@@ -81,18 +81,6 @@ pub enum Variant {
     VaiSf,
 }
 
-impl Variant {
-    /// All variants the paper plots for HPCC/Swift.
-    pub fn paper_set() -> [Variant; 4] {
-        [
-            Variant::Default,
-            Variant::HighAi,
-            Variant::Probabilistic,
-            Variant::VaiSf,
-        ]
-    }
-}
-
 /// Cross-cutting knobs on a [`CcSpec`] that are orthogonal to the
 /// protocol/variant pair.
 ///
@@ -137,17 +125,20 @@ pub struct CcSpec {
 }
 
 impl CcSpec {
-    /// Shorthand constructor.
-    pub fn new(kind: ProtocolKind, variant: Variant) -> Self {
+    /// Shorthand constructor (`const`, so figure tables can hold specs).
+    pub const fn new(kind: ProtocolKind, variant: Variant) -> Self {
         CcSpec {
             kind,
             variant,
-            opts: CcOptions::default(),
+            opts: CcOptions {
+                hyper_ai: false,
+                trace_sample_every: 0,
+            },
         }
     }
 
     /// Replace the option block wholesale.
-    pub fn with_options(mut self, opts: CcOptions) -> Self {
+    pub const fn with_options(mut self, opts: CcOptions) -> Self {
         self.opts = opts;
         self
     }
@@ -421,7 +412,13 @@ mod tests {
             ProtocolKind::Dcqcn,
             ProtocolKind::Timely,
         ] {
-            for variant in Variant::paper_set() {
+            // The variants the paper plots for HPCC/Swift.
+            for variant in [
+                Variant::Default,
+                Variant::HighAi,
+                Variant::Probabilistic,
+                Variant::VaiSf,
+            ] {
                 let cc = CcSpec::new(kind, variant).build(&env(), 9);
                 let r = cc.current_rate();
                 assert!(

@@ -33,7 +33,9 @@ pub mod spec;
 pub mod stats;
 
 pub use report::{CellReport, Report};
-pub use run::{run_sweep, CellOutcome, RunOutput, RunRecord, SweepConfig, SweepOutcome};
+pub use run::{
+    run_sweep, write_run_artifacts, CellOutcome, RunOutput, RunRecord, SweepConfig, SweepOutcome,
+};
 pub use spec::{
     fnv1a, preset, preset_names, slug, CellSpec, Ensemble, FaultCell, SweepSpec, WorkloadAxis,
     WorkloadPoint,

@@ -75,24 +75,24 @@ impl RunOutput {
         }
     }
 
-    /// Unwrap an incast run.
-    pub fn into_incast(self) -> Option<IncastResult> {
+    /// The incast result, when this was an incast run.
+    pub fn as_incast(&self) -> Option<&IncastResult> {
         match self {
             RunOutput::Incast(r) => Some(r),
             RunOutput::Datacenter(_) | RunOutput::Fault(_) => None,
         }
     }
 
-    /// Unwrap a datacenter run.
-    pub fn into_datacenter(self) -> Option<DatacenterResult> {
+    /// The datacenter result, when this was a datacenter run.
+    pub fn as_datacenter(&self) -> Option<&DatacenterResult> {
         match self {
             RunOutput::Datacenter(r) => Some(r),
             RunOutput::Incast(_) | RunOutput::Fault(_) => None,
         }
     }
 
-    /// Unwrap a fault-injection run.
-    pub fn into_fault(self) -> Option<FaultResult> {
+    /// The fault-injection result, when this was a fault run.
+    pub fn as_fault(&self) -> Option<&FaultResult> {
         match self {
             RunOutput::Fault(r) => Some(r),
             RunOutput::Incast(_) | RunOutput::Datacenter(_) => None,
@@ -102,7 +102,8 @@ impl RunOutput {
 
 /// Execution knobs orthogonal to the sweep spec: scheduler backend,
 /// worker count, tracing. None of these may change the report (the
-/// golden test in `tests/sweep.rs` pins that).
+/// golden test in `tests/sweep.rs` pins that). `repro` builds one for
+/// both its figure and its `--sweep` mode.
 #[derive(Debug, Clone)]
 pub struct SweepConfig {
     /// Event-scheduler backend for every run.
@@ -113,8 +114,6 @@ pub struct SweepConfig {
     pub trace: TraceConfig,
     /// Directory for per-run trace artifacts; `None` discards traces.
     pub trace_dir: Option<PathBuf>,
-    /// Artifact file-name tag; empty uses the sweep name's slug.
-    pub tag: String,
 }
 
 impl Default for SweepConfig {
@@ -131,7 +130,6 @@ impl SweepConfig {
             workers: None,
             trace: TraceConfig::off(),
             trace_dir: None,
-            tag: String::new(),
         }
     }
 
@@ -147,18 +145,12 @@ impl SweepConfig {
         self
     }
 
-    /// Enable tracing at the given level, writing artifacts to `dir`
-    /// (chainable).
-    pub fn with_trace(mut self, trace: TraceConfig, dir: Option<PathBuf>) -> Self {
-        self.trace = trace;
-        self.trace_dir = dir;
-        self
-    }
-
-    /// Set the artifact file-name tag (chainable).
-    pub fn with_tag(mut self, tag: &str) -> Self {
-        self.tag = tag.to_string();
-        self
+    /// The context one run executes under: its seed plus this config's
+    /// scheduler and trace level.
+    pub fn run_ctx(&self, seed: u64) -> RunCtx {
+        RunCtx::new(seed)
+            .with_scheduler(self.scheduler)
+            .with_trace(self.trace)
     }
 }
 
@@ -231,8 +223,8 @@ impl SweepOutcome {
 ///
 /// Results come back grouped per cell in expansion order, replicates in
 /// ensemble order — independent of worker count and dispatch order.
-/// When `cfg.trace_dir` is set, per-run artifacts are written as
-/// `<tag>.<cell-slug>.s<seed>.{trace.jsonl,chrome.json,metrics.json}`.
+/// When `cfg.trace_dir` is set, every traced run's artifacts are written
+/// (see [`write_run_artifacts`]) under the sweep name and the cell id.
 pub fn run_sweep(spec: &SweepSpec, cfg: &SweepConfig) -> SweepOutcome {
     let cells = spec.expand();
     let mut jobs: Vec<(usize, u64)> = Vec::with_capacity(cells.len() * spec.ensemble.replicates);
@@ -244,10 +236,7 @@ pub fn run_sweep(spec: &SweepSpec, cfg: &SweepConfig) -> SweepOutcome {
     let workers = cfg.workers.unwrap_or_else(pool::default_workers).max(1);
     let outputs = pool::run_indexed(jobs.len(), workers, |j| {
         let (ci, seed) = jobs[j];
-        let rctx = RunCtx::new(seed)
-            .with_scheduler(cfg.scheduler)
-            .with_trace(cfg.trace);
-        execute(&cells[ci], seed, &rctx)
+        execute(&cells[ci], seed, &cfg.run_ctx(seed))
     });
 
     let mut outputs = outputs.into_iter();
@@ -272,7 +261,14 @@ pub fn run_sweep(spec: &SweepSpec, cfg: &SweepConfig) -> SweepOutcome {
         replicates: spec.ensemble.replicates,
         cells: cell_outcomes,
     };
-    write_artifacts(&outcome, cfg);
+    // Sequentially, after the pool joins, so file-system effects never race.
+    for cell in &outcome.cells {
+        for run in &cell.runs {
+            if let Some(tracer) = run.output.trace() {
+                write_run_artifacts(cfg, &outcome.name, &cell.spec.id, run.seed, tracer);
+            }
+        }
+    }
     outcome
 }
 
@@ -317,39 +313,31 @@ fn execute(cell: &CellSpec, seed: u64, rctx: &RunCtx) -> RunOutput {
     }
 }
 
-/// Write per-run trace artifacts (sequentially, after the pool joins, so
-/// file-system effects never race). Mirrors the bench harness's naming:
-/// `<tag>.<cell-slug>.s<seed>.*`.
-fn write_artifacts(outcome: &SweepOutcome, cfg: &SweepConfig) {
+/// Write one traced run's artifacts under `cfg.trace_dir` (a no-op when
+/// unset): `<sweep>.<run>.s<seed>.trace.jsonl` (structured events) and
+/// `.chrome.json` (Perfetto-loadable) at [`TraceLevel::Full`], and
+/// `.metrics.json` (counters + histograms) at every level; `sweep` and
+/// `run` are slugged. The one artifact writer: sweeps call it per cell
+/// replicate, and a harness that runs a scenario outside a sweep calls
+/// it with its own names.
+pub fn write_run_artifacts(cfg: &SweepConfig, sweep: &str, run: &str, seed: u64, tracer: &Tracer) {
     let Some(dir) = &cfg.trace_dir else { return };
     std::fs::create_dir_all(dir)
         .unwrap_or_else(|e| panic!("cannot create trace dir {}: {e}", dir.display()));
-    let tag = if cfg.tag.is_empty() {
-        slug(&outcome.name)
-    } else {
-        cfg.tag.clone()
+    let stem = format!("{}.{}.s{seed}", slug(sweep), slug(run));
+    let write = |suffix: &str, body: String| {
+        let path = dir.join(format!("{stem}.{suffix}"));
+        std::fs::write(&path, body)
+            .unwrap_or_else(|e| panic!("cannot write {}: {e}", path.display()));
     };
-    for cell in &outcome.cells {
-        for run in &cell.runs {
-            let Some(tracer) = run.output.trace() else {
-                continue;
-            };
-            let stem = format!("{tag}.{}.s{}", slug(&cell.spec.id), run.seed);
-            let write = |suffix: &str, body: String| {
-                let path = dir.join(format!("{stem}.{suffix}"));
-                std::fs::write(&path, body)
-                    .unwrap_or_else(|e| panic!("cannot write {}: {e}", path.display()));
-            };
-            if tracer.config().level == TraceLevel::Full {
-                write("trace.jsonl", tracer.to_jsonl());
-                write("chrome.json", tracer.to_chrome());
-            }
-            write(
-                "metrics.json",
-                format!("{}\n", tracer.metrics().to_value().pretty()),
-            );
-        }
+    if tracer.config().level == TraceLevel::Full {
+        write("trace.jsonl", tracer.to_jsonl());
+        write("chrome.json", tracer.to_chrome());
     }
+    write(
+        "metrics.json",
+        format!("{}\n", tracer.metrics().to_value().pretty()),
+    );
 }
 
 #[cfg(test)]

@@ -31,7 +31,7 @@ pub fn fnv1a(s: &str) -> u64 {
 }
 
 /// File-name slug: lowercase alphanumerics, runs of anything else
-/// collapsed to `-` (same convention as the bench crate's artifacts).
+/// collapsed to `-`.
 pub fn slug(label: &str) -> String {
     let mut out = String::with_capacity(label.len());
     for c in label.chars() {
@@ -101,15 +101,27 @@ pub struct FaultCell {
 }
 
 impl FaultCell {
-    /// A clean cell (no loss, no flap) — the reference point of every
-    /// fault grid.
-    pub fn clean() -> Self {
-        FaultCell {
-            name: "clean".to_string(),
-            loss: 0.0,
+    /// The paper-companion loss x flap grid of the `faults` figure and
+    /// the `paper-faults` preset: a clean reference cell (which must
+    /// reproduce the fault-free baseline bit-for-bit), two wire-loss
+    /// rates, a flapping agg–spine link, and both at once.
+    pub fn paper_grid() -> Vec<FaultCell> {
+        let flap = Some((Nanos::from_micros(200), Nanos::from_micros(40)));
+        [
+            ("clean", 0.0, None),
+            ("loss 1e-4", 1e-4, None),
+            ("loss 1e-3", 1e-3, None),
+            ("flap 200us", 0.0, flap),
+            ("loss 1e-3 + flap", 1e-3, flap),
+        ]
+        .into_iter()
+        .map(|(name, loss, flap)| FaultCell {
+            name: name.to_string(),
+            loss,
             bursty: false,
-            flap: None,
-        }
+            flap,
+        })
+        .collect()
     }
 }
 
@@ -275,7 +287,7 @@ pub struct CellSpec {
 /// survive the JSON round-trip (minijson stores numbers as `f64`).
 #[derive(Debug, Clone, PartialEq)]
 pub struct SweepSpec {
-    /// Sweep name (report header and default artifact tag).
+    /// Sweep name (report header and trace-artifact file prefix).
     pub name: String,
     /// Protocol/variant axis (fastest-varying; must be distinct).
     pub cc: Vec<CcSpec>,
@@ -707,7 +719,6 @@ pub fn preset_names() -> &'static [&'static str] {
 /// * `paper-faults` — the fault figure's loss/flap grid, baseline vs
 ///   VAI+SF.
 pub fn preset(name: &str) -> Option<SweepSpec> {
-    let flap = Some((Nanos::from_micros(200), Nanos::from_micros(40)));
     match name {
         "smoke" => Some(SweepSpec {
             name: "smoke".to_string(),
@@ -763,33 +774,7 @@ pub fn preset(name: &str) -> Option<SweepSpec> {
             workload: WorkloadAxis::Faults {
                 mix: vec![distributions::FB_HADOOP.to_string()],
                 loads: vec![0.5],
-                cells: vec![
-                    FaultCell::clean(),
-                    FaultCell {
-                        name: "loss 1e-4".to_string(),
-                        loss: 1e-4,
-                        bursty: false,
-                        flap: None,
-                    },
-                    FaultCell {
-                        name: "loss 1e-3".to_string(),
-                        loss: 1e-3,
-                        bursty: false,
-                        flap: None,
-                    },
-                    FaultCell {
-                        name: "flap 200us".to_string(),
-                        loss: 0.0,
-                        bursty: false,
-                        flap,
-                    },
-                    FaultCell {
-                        name: "loss 1e-3 + flap".to_string(),
-                        loss: 1e-3,
-                        bursty: false,
-                        flap,
-                    },
-                ],
+                cells: FaultCell::paper_grid(),
                 full_scale: false,
             },
             ensemble: Ensemble::new(42, 3),

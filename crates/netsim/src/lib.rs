@@ -48,7 +48,6 @@ pub mod pfc;
 pub mod port;
 pub mod routing;
 pub mod run;
-pub mod stats;
 pub mod topology;
 
 pub use fault::{
@@ -61,5 +60,4 @@ pub use network::{Event, NetBuilder, NetConfig, Network};
 pub use packet::{Packet, PacketKind};
 pub use port::RedConfig;
 pub use run::{run_watched, RunOutcome};
-pub use stats::{bottleneck, port_stats, PortStats};
 pub use topology::{FatTreeConfig, Topology};

@@ -43,7 +43,8 @@ pub struct Sample {
     /// Backlogs of the watched ports, in watch order, in bytes.
     pub queue_bytes: Vec<u64>,
     /// Goodput of each active flow over the interval ending at `t`,
-    /// in bits/s. Flows that were inactive the whole interval are omitted.
+    /// in bits/s, in ascending flow-id order. Flows that were inactive the
+    /// whole interval are omitted.
     pub flow_rates: Vec<(FlowId, f64)>,
 }
 

@@ -344,11 +344,6 @@ impl Network {
         }
     }
 
-    /// All hosts, in creation order.
-    pub fn hosts(&self) -> &[NodeId] {
-        &self.hosts
-    }
-
     /// Immutable flow access.
     pub fn flow(&self, id: FlowId) -> &Flow {
         &self.flows[id.idx()]

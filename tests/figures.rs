@@ -1,13 +1,14 @@
-//! Golden digests of every figure's text.
+//! Golden digests of every figure's text, and `--json` == text.
 //!
 //! `repro <figure>` at seed 42, reduced scale, is pinned here as the
-//! `fleet::fnv1a` digest of the text `bench::run_figure` returns, so a
+//! `fleet::fnv1a` digest of the text a `bench::FIGURES` row renders, so a
 //! refactor of the harness cannot move a byte of any figure unnoticed.
+//! The same run's JSON must name exactly the variants the text shows.
 //! The 16-1 incasts and the fluid model run in tier-1; the rest are
 //! `#[ignore]`d and CI runs them in release:
 //! `cargo test --release --test figures -- --include-ignored`.
 
-use bench::{run_figure, FigureCtx, Scale, ALL_FIGURES, DEFAULT_SEED};
+use bench::{Figure, FigureCtx, Scale, DEFAULT_SEED, FIGURES};
 use fairness_repro::fleet::fnv1a;
 
 /// `(figure, digest of its text)`, in `repro list` order.
@@ -39,16 +40,51 @@ const GOLDEN: &[(&str, u64)] = &[
 /// The rows cheap enough for a debug-build tier-1 run.
 const CHEAP: &[&str] = &["fig2", "fig4", "fig8", "fig9"];
 
-/// Render each selected figure and compare its digest, reporting every
+/// The variant labels a figure's text shows, panel by panel: the `[..]`
+/// suffixes of each panel's first table header (`jain[HPCC]`,
+/// `finish(us)[Swift VAI SF]`, `p99.9[HPCC]`).
+fn text_labels(text: &str) -> Vec<String> {
+    let mut labels = Vec::new();
+    for panel in text.split("== ").skip(1) {
+        let header = panel
+            .lines()
+            .find(|l| l.contains('['))
+            .expect("a header row");
+        for cell in header.split(']') {
+            if let Some((_, label)) = cell.split_once('[') {
+                labels.push(label.to_string());
+            }
+        }
+    }
+    labels
+}
+
+/// Render each selected figure; compare its text's digest and, where it
+/// has a JSON form, the JSON's labels with the text's. Reports every
 /// mismatch at once.
 fn check(select: impl Fn(&str) -> bool) {
     let ctx = FigureCtx::new(Scale::Reduced, DEFAULT_SEED);
     let mut moved = Vec::new();
     for &(name, want) in GOLDEN.iter().filter(|(name, _)| select(name)) {
-        let text = run_figure(name, &ctx).unwrap_or_else(|| panic!("unknown figure {name}"));
-        let got = fnv1a(&text);
+        let fig = Figure::named(name).expect("a pinned figure is in the table");
+        let out = fig.run(&ctx);
+        let got = fnv1a(&out.text);
         if got != want {
             moved.push(format!("(\"{name}\", {got:#018x}), // was {want:#018x}"));
+        }
+        assert_eq!(out.json.is_some(), fig.has_json(), "{name}");
+        // fig4's JSON is rows of numbers, not labelled runs.
+        let runs = out
+            .json
+            .as_ref()
+            .and_then(|v| v[0].get("label").and(v.as_array()));
+        if let Some(runs) = runs {
+            let json_labels: Vec<&str> = runs.iter().filter_map(|r| r["label"].as_str()).collect();
+            assert_eq!(
+                json_labels,
+                text_labels(&out.text),
+                "{name}: --json != text"
+            );
         }
     }
     assert!(moved.is_empty(), "figure text moved:\n{}", moved.join("\n"));
@@ -63,6 +99,7 @@ fn cheap_figures_keep_their_text() {
 #[ignore = "runs every figure (~20 s in release); CI runs it with --include-ignored"]
 fn every_figure_keeps_its_text() {
     let pinned: Vec<&str> = GOLDEN.iter().map(|&(name, _)| name).collect();
-    assert_eq!(pinned, ALL_FIGURES, "a figure without a golden digest");
+    let table: Vec<&str> = FIGURES.iter().map(|f| f.name).collect();
+    assert_eq!(pinned, table, "a figure without a golden digest");
     check(|name| !CHEAP.contains(&name));
 }
