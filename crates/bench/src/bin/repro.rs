@@ -21,9 +21,9 @@
 //! JSON to a file. `--ensemble N` overrides the spec's replicate count and
 //! `--seed` its root seed. Exits 1 if any run stalled.
 //!
-//! Both modes run under one `fleet::SweepConfig`: `--scheduler
-//! heap|wheel`, `--jobs N` (the worker-pool width; never affects a byte of
-//! output) and tracing. A flag the chosen mode would ignore is an error.
+//! Both modes run under one `fleet::SweepConfig`: `--jobs N` (the
+//! worker-pool width; never affects a byte of output) and tracing. A flag
+//! the chosen mode would ignore is an error.
 //!
 //! Default scale runs the incast microbenchmarks exactly as in the paper
 //! and the fat-tree simulations at reduced scale (see DESIGN.md);
@@ -36,9 +36,7 @@
 //! Perfetto, and `.metrics.json`, where `<run>` is the sweep cell's slug
 //! (`incast-deg-16-cc-hpcc`) or, for the figures that are not sweeps, the
 //! row label. `--trace-filter SUB` (repeatable) restricts event collection
-//! to the named subsystems. The binary must be built with `--features
-//! trace` for events to be recorded; without it `--trace` still runs but
-//! emits a warning.
+//! to the named subsystems.
 
 use bench::{Figure, FigureCtx, Scale, DEFAULT_SEED, FAULTS, FIGURES};
 use fairsim::{Subsystem, TraceConfig};
@@ -85,11 +83,6 @@ fn main() {
                 let n = value(&mut i, "an integer").parse();
                 seed = Some(n.unwrap_or_else(|_| die("--seed needs an integer")));
             }
-            "--scheduler" => {
-                let what = "'heap' or 'wheel'";
-                let kind = value(&mut i, what).parse();
-                cfg.scheduler = kind.unwrap_or_else(|_| die(&format!("--scheduler needs {what}")));
-            }
             "--trace" => {
                 cfg.trace_dir = Some(value(&mut i, "a directory path").into());
             }
@@ -134,12 +127,6 @@ fn main() {
 
     if cfg.trace_dir.is_some() {
         cfg.trace = trace_cfg;
-        if !simtrace::ENABLED {
-            eprintln!(
-                "repro: warning: built without the `trace` feature; --trace will \
-                 record nothing (rebuild with `--features trace`)"
-            );
-        }
     }
 
     if let Some(target) = sweep {
@@ -238,8 +225,7 @@ fn print_usage() {
     eprintln!(
         "usage: repro <figure>... [--full-scale] [--faults] | repro all | \
          repro --sweep NAME_OR_FILE [--ensemble N] [--sweep-out FILE] | repro list\n\
-         either mode: [--seed N] [--json] [--scheduler heap|wheel] [--jobs N] \
-         [--trace DIR] [--trace-filter SUB]..."
+         either mode: [--seed N] [--json] [--jobs N] [--trace DIR] [--trace-filter SUB]..."
     );
     let names: Vec<&str> = FIGURES.iter().map(|f| f.name).collect();
     eprintln!("figures: {}", names.join(" "));

@@ -47,14 +47,13 @@ pub struct FigureCtx {
     pub scale: Scale,
     /// Root seed (override with `--seed`).
     pub seed: u64,
-    /// Scheduler, worker pool and tracing — the same config `repro
-    /// --sweep` runs under.
+    /// Worker pool and tracing — the same config `repro --sweep` runs
+    /// under.
     pub sweep: fleet::SweepConfig,
 }
 
 impl FigureCtx {
-    /// A context with the given scale and seed, default scheduler, and
-    /// tracing off.
+    /// A context with the given scale and seed and tracing off.
     pub fn new(scale: Scale, seed: u64) -> Self {
         FigureCtx {
             scale,
@@ -261,10 +260,7 @@ const BOTH_PAIRS: &[CcSpec] = &[
     CcSpec::new(Swift, Variant::Default),
     CcSpec::new(Swift, Variant::VaiSf),
 ];
-const HYPER_AI: CcOptions = CcOptions {
-    hyper_ai: true,
-    trace_sample_every: 0,
-};
+const HYPER_AI: CcOptions = CcOptions { hyper_ai: true };
 
 const INCAST_16: Workload = Workload::Incast(&[16]);
 const INCAST_96: Workload = Workload::Incast(&[96]);

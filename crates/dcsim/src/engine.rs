@@ -35,16 +35,14 @@ pub enum RunOutcome {
 
 /// A discrete-event simulation: a [`World`] plus a clock and a scheduler.
 ///
-/// The scheduler type defaults to the binary-heap [`EventQueue`], so
-/// `Simulation<MyWorld>` keeps meaning what it always meant; hot harnesses
-/// opt into the timing wheel with
-/// [`with_scheduler`](Simulation::with_scheduler).
+/// The scheduler type defaults to the binary-heap [`EventQueue`], the
+/// reference calendar; [`with_scheduler`](Simulation::with_scheduler) takes
+/// any other (e.g. the timing wheel).
 pub struct Simulation<W: World, S: Scheduler<W::Event> = EventQueue<<W as World>::Event>> {
     world: W,
     queue: S,
     now: Nanos,
     events_handled: u64,
-    #[cfg(feature = "trace")]
     occupancy_hwm: usize,
 }
 
@@ -64,7 +62,6 @@ impl<W: World, S: Scheduler<W::Event>> Simulation<W, S> {
             queue,
             now: Nanos::ZERO,
             events_handled: 0,
-            #[cfg(feature = "trace")]
             occupancy_hwm: 0,
         }
     }
@@ -87,12 +84,6 @@ impl<W: World, S: Scheduler<W::Event>> Simulation<W, S> {
         &self.world
     }
 
-    /// Mutable access to the domain state (setup & inspection between runs).
-    #[inline]
-    pub fn world_mut(&mut self) -> &mut W {
-        &mut self.world
-    }
-
     /// Mutable access to the schedule (to seed initial events).
     #[inline]
     pub fn queue_mut(&mut self) -> &mut S {
@@ -107,26 +98,15 @@ impl<W: World, S: Scheduler<W::Event>> Simulation<W, S> {
     }
 
     /// Highest scheduler occupancy (pending events) observed at any
-    /// dispatch, for profiling scheduler sizing. Always 0 without the
-    /// `trace` cargo feature.
+    /// dispatch, for profiling scheduler sizing.
     #[inline]
     pub fn occupancy_high_water(&self) -> usize {
-        #[cfg(feature = "trace")]
-        {
-            self.occupancy_hwm
-        }
-        #[cfg(not(feature = "trace"))]
-        {
-            0
-        }
+        self.occupancy_hwm
     }
 
     /// Dispatch a single event. Returns `false` if the queue was empty.
     pub fn step(&mut self) -> bool {
-        #[cfg(feature = "trace")]
-        {
-            self.occupancy_hwm = self.occupancy_hwm.max(self.queue.len());
-        }
+        self.occupancy_hwm = self.occupancy_hwm.max(self.queue.len());
         match self.queue.pop() {
             Some((at, ev)) => {
                 debug_assert!(

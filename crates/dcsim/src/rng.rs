@@ -97,12 +97,6 @@ impl DetRng {
         result
     }
 
-    /// Next raw 32-bit output (upper half of a 64-bit step).
-    #[inline]
-    pub fn next_u32(&mut self) -> u32 {
-        (self.next_u64() >> 32) as u32
-    }
-
     /// Fill `dest` with random bytes.
     pub fn fill_bytes(&mut self, dest: &mut [u8]) {
         let mut chunks = dest.chunks_exact_mut(8);

@@ -5,15 +5,15 @@
 //! events dequeue FIFO:
 //!
 //! * [`EventQueue`](crate::EventQueue) — a binary heap; `O(log n)` per
-//!   operation, no assumptions about time distribution. The default.
+//!   operation, no assumptions about time distribution. The reference
+//!   calendar: the one the equivalence suites compare against, and
+//!   [`Simulation`](crate::Simulation)'s default type parameter.
 //! * [`TimingWheel`](crate::TimingWheel) — a hierarchical timing wheel;
 //!   amortised `O(1)` push/pop when pending times cluster near `now`, which
 //!   is exactly the shape packet simulations produce.
 //!
-//! [`Simulation`](crate::Simulation) is generic over `Scheduler` with the
-//! heap as the default type parameter, so existing call sites compile
-//! unchanged and hot harnesses opt into the wheel explicitly (see
-//! [`SchedulerKind`]).
+//! Which one a scenario runs on is not a user setting: `fairsim` runs every
+//! scenario on the heap (see [`SchedulerKind`]).
 
 use crate::time::Nanos;
 
@@ -61,9 +61,8 @@ pub trait Scheduler<E> {
 
 /// Which [`Scheduler`] implementation a scenario runs on.
 ///
-/// Carried by the run context (`fairsim::RunCtx`, `fleet::SweepConfig`),
-/// never by a scenario, so harnesses and the benchmark switch engines per
-/// run. Defaults to the binary heap.
+/// `fairsim` runs on `default()`, the binary heap; a test may force either
+/// through `fairsim::RunCtx` to compare the two.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum SchedulerKind {
     /// Binary-heap calendar queue ([`EventQueue`](crate::EventQueue)).
@@ -74,52 +73,23 @@ pub enum SchedulerKind {
 }
 
 impl SchedulerKind {
-    /// Stable lowercase name, used in benchmark JSON and CLI flags.
-    pub fn name(self) -> &'static str {
-        match self {
-            SchedulerKind::Heap => "heap",
-            SchedulerKind::Wheel => "wheel",
-        }
-    }
-
     /// All kinds, for harnesses that sweep schedulers.
     pub const ALL: [SchedulerKind; 2] = [SchedulerKind::Heap, SchedulerKind::Wheel];
 }
 
+/// Lowercase name, for harness log lines (the benchmark prints it).
 impl std::fmt::Display for SchedulerKind {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
-impl std::str::FromStr for SchedulerKind {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "heap" => Ok(SchedulerKind::Heap),
-            "wheel" => Ok(SchedulerKind::Wheel),
-            other => Err(format!("unknown scheduler kind `{other}` (heap|wheel)")),
-        }
+        f.write_str(match self {
+            SchedulerKind::Heap => "heap",
+            SchedulerKind::Wheel => "wheel",
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn kind_round_trips_through_names() {
-        for kind in SchedulerKind::ALL {
-            assert_eq!(
-                kind.name()
-                    .parse::<SchedulerKind>()
-                    .expect("every kind name parses back"),
-                kind
-            );
-        }
-        assert!("quantum".parse::<SchedulerKind>().is_err());
-    }
 
     #[test]
     fn default_is_heap() {

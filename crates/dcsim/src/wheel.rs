@@ -126,9 +126,6 @@ pub struct TimingWheel<E> {
     /// `(time, seq)` of the most recent pop — the sim-audit witness that
     /// dispatch order is monotone in time and FIFO within a timestamp.
     last_popped: Option<(Nanos, u64)>,
-    /// Profiling: slot cascades performed (upper-level re-placement work).
-    #[cfg(feature = "trace")]
-    cascades: u64,
 }
 
 impl<E> Default for TimingWheel<E> {
@@ -151,23 +148,6 @@ impl<E> TimingWheel<E> {
             popped: 0,
             pending: 0,
             last_popped: None,
-            #[cfg(feature = "trace")]
-            cascades: 0,
-        }
-    }
-
-    /// Number of slot cascades performed so far (each moves an upper-level
-    /// slot's entries one level down), a measure of wheel re-placement
-    /// overhead. Always 0 without the `trace` cargo feature.
-    #[inline]
-    pub fn cascades(&self) -> u64 {
-        #[cfg(feature = "trace")]
-        {
-            self.cascades
-        }
-        #[cfg(not(feature = "trace"))]
-        {
-            0
         }
     }
 
@@ -341,10 +321,6 @@ impl<E> TimingWheel<E> {
                     return;
                 }
                 Advance::Cascade(lb, idx) => {
-                    #[cfg(feature = "trace")]
-                    {
-                        self.cascades += 1;
-                    }
                     // Safe: lb is <= every pending firing time (each entry
                     // fires at or after its slot's block start). A healing
                     // cascade of the cursor's own block reports lb <= cursor;

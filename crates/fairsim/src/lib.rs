@@ -14,8 +14,9 @@
 //! * [`scenarios::TraceScenario`] — replay of an explicit arrival list.
 //!
 //! All four run through [`Scenario::run_with`] under a [`RunCtx`] (seed,
-//! scheduler, tracing); [`IncastScenario::run_with_cc`] is the one entry
-//! point for a congestion control [`CcSpec`] cannot name.
+//! tracing) on the event calendar the pipeline picks from the run's size;
+//! [`IncastScenario::run_with_cc`] is the one entry point for a congestion
+//! control [`CcSpec`] cannot name.
 //!
 //! A [`spec::CcSpec`] names a protocol (HPCC / Swift / DCQCN / Timely) and
 //! a variant (default, high-AI, probabilistic, VAI, SF, VAI+SF), and builds
@@ -44,8 +45,6 @@ pub use scenarios::{
 };
 pub use spec::{CcOptions, CcSpec, NetEnv, ProtocolKind, Variant};
 
-// The run context's scheduler knob comes from the engine crate; re-export
-// it so harnesses can name it without depending on dcsim directly. Same for
-// the observability configuration from simtrace.
-pub use dcsim::SchedulerKind;
+// The run context's observability configuration comes from simtrace;
+// re-export it so harnesses can name it without depending on simtrace.
 pub use simtrace::{Subsystem, TraceConfig, TraceLevel, Tracer};

@@ -26,23 +26,24 @@ use crate::spec::{CcSpec, NetEnv};
 /// property of *how* a scenario executes rather than *what* it simulates.
 ///
 /// Scenario structs describe the workload (topology, flows, protocol);
-/// a `RunCtx` carries the seed, the event-scheduler backend, and the
-/// observability configuration. The same scenario value can be re-run
-/// under different contexts (new seed, wheel vs. heap, tracing on/off)
+/// a `RunCtx` carries the seed, the observability configuration and, for
+/// the tests that compare them, the event calendar. The same scenario value
+/// can be re-run under different contexts (new seed, tracing on/off)
 /// without mutating it.
 #[derive(Debug, Clone, Copy)]
 pub struct RunCtx {
     /// Root seed for the run's deterministic randomness.
     pub seed: u64,
-    /// Event scheduler backing the run (results are scheduler-invariant;
-    /// the wheel is faster on dense timer populations).
+    /// The event calendar: `SchedulerKind::default()`, the binary heap, from
+    /// [`RunCtx::new`]. Results are calendar-invariant, so only the
+    /// byte-identity tests that compare it with the timing wheel set this.
     pub scheduler: SchedulerKind,
     /// Trace/metrics collection level and subsystem filter.
     pub trace: TraceConfig,
 }
 
 impl RunCtx {
-    /// A context with the given seed, default scheduler, and tracing off.
+    /// A context with the given seed, on the default calendar, tracing off.
     pub fn new(seed: u64) -> Self {
         RunCtx {
             seed,
@@ -51,7 +52,7 @@ impl RunCtx {
         }
     }
 
-    /// Select the event-scheduler backend.
+    /// Force the event calendar, for tests that compare the two.
     pub fn with_scheduler(mut self, scheduler: SchedulerKind) -> Self {
         self.scheduler = scheduler;
         self
@@ -68,8 +69,8 @@ impl RunCtx {
 ///
 /// All four drivers ([`IncastScenario`], [`DatacenterScenario`],
 /// [`TraceScenario`], [`FaultScenario`]) implement this, so harness code
-/// can be generic over the scenario type, and seed/scheduler/trace
-/// settings travel in the context, never in scenario fields.
+/// can be generic over the scenario type, and seed and trace settings
+/// travel in the context, never in scenario fields.
 pub trait Scenario {
     /// The result type the run produces.
     type Outcome;
@@ -91,8 +92,8 @@ struct Finished {
 /// with a stall watchdog (see [`netsim::run_watched`]).
 ///
 /// Every scenario funnels through here, so heap and wheel runs execute the
-/// exact same driver code — the scheduler is the only degree of freedom,
-/// which is what the scheduler-equivalence tests rely on. The watchdog
+/// exact same driver code — the calendar is the only difference, which is
+/// what the scheduler-equivalence tests rely on. The watchdog
 /// chunking is event-order transparent, so it does not perturb results.
 fn drive<S: Scheduler<netsim::Event> + Default>(
     net: Network,
@@ -110,9 +111,9 @@ fn drive<S: Scheduler<netsim::Event> + Default>(
     let occupancy_hwm = sim.occupancy_high_water() as u64;
     let mut net = sim.into_world();
     // Publish end-of-run metrics and detach the tracer for the result;
-    // `None` when tracing was configured off or compiled out, so results
-    // stay lightweight on untraced runs.
-    let traced = simtrace::ENABLED && net.tracer().config().level != TraceLevel::Off;
+    // `None` when tracing was configured off, so results stay lightweight
+    // on untraced runs.
+    let traced = net.tracer().config().level != TraceLevel::Off;
     let trace = traced.then(|| {
         net.publish_metrics();
         net.take_tracer()
@@ -157,9 +158,9 @@ struct Plan<'a> {
 }
 
 /// The one way a scenario runs: RED if the protocol needs it → build →
-/// tracer → flows → run to the deadline on the context's scheduler.
+/// tracer → flows → run to the deadline on the context's calendar.
 ///
-/// `cc` supplies the network-side needs (RED marking, trace cadence);
+/// `cc` supplies the network-side needs (RED marking);
 /// `make_cc(env, flow_seed)` each flow's congestion control.
 fn execute(
     plan: Plan<'_>,
@@ -175,12 +176,7 @@ fn execute(
     let mut cfg = plan.cfg;
     cfg.seed = ctx.seed;
     let mut net = builder.build(cfg, plan.monitor);
-    // A spec-level CC sampling cadence overrides the context's.
-    let mut tcfg = ctx.trace;
-    if cc.opts.trace_sample_every > 1 {
-        tcfg = tcfg.with_cc_sample_every(cc.opts.trace_sample_every);
-    }
-    net.set_tracer(Tracer::new(tcfg));
+    net.set_tracer(Tracer::new(ctx.trace));
     if let Some((from, towards)) = plan.watch {
         let port = net
             .port_towards(from, towards)
@@ -409,8 +405,7 @@ pub struct IncastResult {
     /// Events the engine dispatched (scheduler-invariant; the benchmark
     /// divides this by wall time for events/sec).
     pub events_handled: u64,
-    /// Scheduler occupancy high-water mark (0 unless the `trace`
-    /// feature is compiled in).
+    /// Scheduler occupancy high-water mark (pending events).
     pub occupancy_hwm: u64,
     /// Collected trace events and metrics; `None` when tracing was off.
     pub trace: Option<Tracer>,
@@ -605,8 +600,7 @@ pub struct DatacenterResult {
     pub outcome: RunOutcome,
     /// Events the engine dispatched (see [`IncastResult::events_handled`]).
     pub events_handled: u64,
-    /// Scheduler occupancy high-water mark (0 unless the `trace`
-    /// feature is compiled in).
+    /// Scheduler occupancy high-water mark (pending events).
     pub occupancy_hwm: u64,
     /// Collected trace events and metrics; `None` when tracing was off.
     pub trace: Option<Tracer>,
@@ -649,8 +643,7 @@ pub struct TraceResult {
     /// Structured run disposition from the stall watchdog (completed /
     /// horizon / stalled / budget).
     pub outcome: RunOutcome,
-    /// Scheduler occupancy high-water mark (0 unless the `trace`
-    /// feature is compiled in).
+    /// Scheduler occupancy high-water mark (pending events).
     pub occupancy_hwm: u64,
     /// Collected trace events and metrics; `None` when tracing was off.
     pub trace: Option<Tracer>,
@@ -890,8 +883,7 @@ pub struct FaultResult {
     pub faults: FaultStats,
     /// Events the engine dispatched.
     pub events_handled: u64,
-    /// Scheduler occupancy high-water mark (0 unless the `trace`
-    /// feature is compiled in).
+    /// Scheduler occupancy high-water mark (pending events).
     pub occupancy_hwm: u64,
     /// Collected trace events and metrics; `None` when tracing was off.
     pub trace: Option<Tracer>,

@@ -93,22 +93,12 @@ pub struct CcOptions {
     /// Timely-style hyper additive increase (Swift only; the extension
     /// the paper's evaluation suggests for Swift's Hadoop median).
     pub hyper_ai: bool,
-    /// Record a `cc_update` trace event once every this many ACKs when
-    /// full tracing is enabled. `0` means "inherit the run's
-    /// `TraceConfig` cadence" (the scenario layer ignores zero).
-    pub trace_sample_every: u32,
 }
 
 impl CcOptions {
     /// Enable Timely-style hyper AI (meaningful for Swift only).
     pub fn hyper_ai(mut self) -> Self {
         self.hyper_ai = true;
-        self
-    }
-
-    /// Sample `cc_update` trace events once every `n` ACKs.
-    pub fn trace_sample_every(mut self, n: u32) -> Self {
-        self.trace_sample_every = n;
         self
     }
 }
@@ -120,7 +110,7 @@ pub struct CcSpec {
     pub kind: ProtocolKind,
     /// Variant.
     pub variant: Variant,
-    /// Cross-cutting options (hyper AI, trace sampling cadence, ...).
+    /// Cross-cutting options (hyper AI).
     pub opts: CcOptions,
 }
 
@@ -130,10 +120,7 @@ impl CcSpec {
         CcSpec {
             kind,
             variant,
-            opts: CcOptions {
-                hyper_ai: false,
-                trace_sample_every: 0,
-            },
+            opts: CcOptions { hyper_ai: false },
         }
     }
 

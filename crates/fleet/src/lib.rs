@@ -18,10 +18,9 @@
 //!    (minijson) plus a text table.
 //!
 //! Determinism contract: the report depends only on the spec — never on
-//! the worker count, the pool's dispatch order, or the scheduler backend
-//! (heap and wheel runs are bit-identical by the engine's dispatch
-//! contract). Rerunning a sweep yields byte-identical report JSON; the
-//! golden test in `tests/sweep.rs` pins this.
+//! the worker count or the pool's dispatch order. Rerunning a sweep yields
+//! byte-identical report JSON; the golden test in `tests/sweep.rs` pins
+//! this.
 
 #![deny(unsafe_code)]
 #![warn(missing_docs)]

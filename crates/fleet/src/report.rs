@@ -3,7 +3,7 @@
 //! a text table.
 //!
 //! The JSON deliberately excludes anything execution-dependent — no
-//! scheduler name, worker count, or wall-clock time — so rerunning the
+//! event calendar, worker count, or wall-clock time — so rerunning the
 //! same spec yields byte-identical bytes (the golden test pins this).
 //! Bootstrap seeds derive from `(root seed, cell id, statistic)` alone,
 //! never from run order.

@@ -11,7 +11,7 @@ use std::path::PathBuf;
 use dcsim::Nanos;
 use fairsim::{
     DatacenterResult, DatacenterScenario, FaultResult, FaultScenario, IncastResult, IncastScenario,
-    RunCtx, Scenario, SchedulerKind, TraceConfig, TraceLevel, Tracer,
+    RunCtx, Scenario, TraceConfig, TraceLevel, Tracer,
 };
 use netsim::{FatTreeConfig, RunOutcome};
 
@@ -100,14 +100,12 @@ impl RunOutput {
     }
 }
 
-/// Execution knobs orthogonal to the sweep spec: scheduler backend,
-/// worker count, tracing. None of these may change the report (the
-/// golden test in `tests/sweep.rs` pins that). `repro` builds one for
+/// Execution knobs orthogonal to the sweep spec: worker count and
+/// tracing. Neither may change the report (the golden test in
+/// `tests/sweep.rs` pins that). `repro` builds one for
 /// both its figure and its `--sweep` mode.
 #[derive(Debug, Clone)]
 pub struct SweepConfig {
-    /// Event-scheduler backend for every run.
-    pub scheduler: SchedulerKind,
     /// Pool width; `None` uses [`pool::default_workers`].
     pub workers: Option<usize>,
     /// Trace/metrics collection level per run.
@@ -123,20 +121,13 @@ impl Default for SweepConfig {
 }
 
 impl SweepConfig {
-    /// Default config: default scheduler, auto worker count, tracing off.
+    /// Default config: auto worker count, tracing off.
     pub fn new() -> Self {
         SweepConfig {
-            scheduler: SchedulerKind::default(),
             workers: None,
             trace: TraceConfig::off(),
             trace_dir: None,
         }
-    }
-
-    /// Select the event-scheduler backend (chainable).
-    pub fn with_scheduler(mut self, scheduler: SchedulerKind) -> Self {
-        self.scheduler = scheduler;
-        self
     }
 
     /// Pin the pool width (chainable).
@@ -146,11 +137,9 @@ impl SweepConfig {
     }
 
     /// The context one run executes under: its seed plus this config's
-    /// scheduler and trace level.
+    /// trace level.
     pub fn run_ctx(&self, seed: u64) -> RunCtx {
-        RunCtx::new(seed)
-            .with_scheduler(self.scheduler)
-            .with_trace(self.trace)
+        RunCtx::new(seed).with_trace(self.trace)
     }
 }
 

@@ -538,11 +538,21 @@ fn fault_cell_to_value(cell: &FaultCell) -> Value {
 fn fault_cell_from_value(v: &Value) -> Result<FaultCell, String> {
     let name = str_field(v, "name")?;
     let loss = v["loss"].as_f64().unwrap_or(0.0);
+    if !(0.0..=1.0).contains(&loss) {
+        return Err(format!(
+            "fault cell {name:?}: loss {loss} is not a probability in [0, 1]"
+        ));
+    }
     let bursty = v["bursty"].as_bool().unwrap_or(false);
     let period = v["flap_period_ns"].as_u64();
     let down = v["flap_down_ns"].as_u64();
     let flap = match (period, down) {
-        (Some(p), Some(d)) => Some((Nanos::from_ns(p), Nanos::from_ns(d))),
+        (Some(p), Some(d)) if d < p => Some((Nanos::from_ns(p), Nanos::from_ns(d))),
+        (Some(_), Some(_)) => {
+            return Err(format!(
+                "fault cell {name:?}: flap_down_ns must be shorter than flap_period_ns"
+            ))
+        }
         (None, None) => None,
         (Some(_), None) | (None, Some(_)) => {
             return Err(format!(
@@ -603,6 +613,9 @@ fn workload_from_value(v: &Value) -> Result<WorkloadAxis, String> {
             if degrees.is_empty() {
                 return Err("incast workload needs at least one degree".to_string());
             }
+            if degrees.contains(&0) {
+                return Err("incast `degrees` must be >= 1 (senders per receiver)".to_string());
+            }
             Ok(WorkloadAxis::Incast { degrees })
         }
         "datacenter" => {
@@ -612,14 +625,14 @@ fn workload_from_value(v: &Value) -> Result<WorkloadAxis, String> {
                 .ok_or_else(|| "`mixes` must be an array of name arrays".to_string())?;
             let mut mixes = Vec::with_capacity(mix_items.len());
             for m in mix_items {
-                mixes.push(string_list_value(m, "mixes")?);
+                mixes.push(mix_value(m, "mixes")?);
             }
             if mixes.is_empty() {
                 return Err("datacenter workload needs at least one mix".to_string());
             }
             Ok(WorkloadAxis::Datacenter {
                 mixes,
-                loads: f64_list(v, "loads")?,
+                loads: load_list(v)?,
                 full_scale: v["full_scale"].as_bool().unwrap_or(false),
             })
         }
@@ -636,12 +649,12 @@ fn workload_from_value(v: &Value) -> Result<WorkloadAxis, String> {
                 return Err("faults workload needs at least one cell".to_string());
             }
             Ok(WorkloadAxis::Faults {
-                mix: string_list_value(
+                mix: mix_value(
                     v.get("mix")
                         .ok_or_else(|| "missing key `mix`".to_string())?,
                     "mix",
                 )?,
-                loads: f64_list(v, "loads")?,
+                loads: load_list(v)?,
                 cells,
                 full_scale: v["full_scale"].as_bool().unwrap_or(false),
             })
@@ -680,20 +693,26 @@ fn usize_list(v: &Value, key: &str) -> Result<Vec<usize>, String> {
     items.iter().map(|x| usize_value(x, key)).collect()
 }
 
-fn f64_list(v: &Value, key: &str) -> Result<Vec<f64>, String> {
+/// The `loads` axis: a non-empty list of offered-load fractions in (0, 1].
+fn load_list(v: &Value) -> Result<Vec<f64>, String> {
     let items = v
-        .get(key)
+        .get("loads")
         .and_then(Value::as_array)
-        .ok_or_else(|| format!("`{key}` must be an array of numbers"))?;
+        .ok_or_else(|| "`loads` must be an array of numbers".to_string())?;
     let out: Option<Vec<f64>> = items.iter().map(Value::as_f64).collect();
-    let out = out.ok_or_else(|| format!("`{key}` must be an array of numbers"))?;
+    let out = out.ok_or_else(|| "`loads` must be an array of numbers".to_string())?;
     if out.is_empty() {
-        return Err(format!("`{key}` must not be empty"));
+        return Err("`loads` must not be empty".to_string());
+    }
+    if let Some(bad) = out.iter().find(|&&l| !(l > 0.0 && l <= 1.0)) {
+        return Err(format!("load {bad} is not in (0, 1]"));
     }
     Ok(out)
 }
 
-fn string_list_value(v: &Value, key: &str) -> Result<Vec<String>, String> {
+/// One traffic mix: a non-empty list of flow-size distribution names
+/// that [`distributions::by_name`] knows.
+fn mix_value(v: &Value, key: &str) -> Result<Vec<String>, String> {
     let items = v
         .as_array()
         .ok_or_else(|| format!("`{key}` entries must be arrays of strings"))?;
@@ -701,7 +720,17 @@ fn string_list_value(v: &Value, key: &str) -> Result<Vec<String>, String> {
         .iter()
         .map(|x| x.as_str().map(str::to_string))
         .collect();
-    out.ok_or_else(|| format!("`{key}` entries must be arrays of strings"))
+    let mix = out.ok_or_else(|| format!("`{key}` entries must be arrays of strings"))?;
+    if mix.is_empty() {
+        return Err(format!("`{key}`: a mix names at least one distribution"));
+    }
+    if let Some(bad) = mix.iter().find(|n| distributions::by_name(n).is_none()) {
+        return Err(format!(
+            "unknown distribution {bad:?} (valid: {})",
+            distributions::NAMES.join(", ")
+        ));
+    }
+    Ok(mix)
 }
 
 /// Names [`preset`] accepts.
@@ -869,6 +898,49 @@ mod tests {
                 "cells":[{"name":"b","loss":0.001,"flap_period_ns":1000}]}}"#
         )
         .is_err());
+        // Values a run would panic on (or, for loss 2.0, silently accept):
+        // each is named at parse time.
+        let with_workload = |workload: &str| {
+            SweepSpec::parse(&format!(
+                r#"{{"name":"x","seed":1,"cc":[{{"protocol":"hpcc","variant":"default"}}],
+                    "workload":{workload}}}"#
+            ))
+        };
+        let faults = |cell: &str| {
+            with_workload(&format!(
+                r#"{{"kind":"faults","mix":["FB_Hadoop"],"loads":[0.5],"cells":[{cell}]}}"#
+            ))
+        };
+        for (bad, says) in [
+            (
+                with_workload(r#"{"kind":"datacenter","mixes":[["Nope"]],"loads":[0.5]}"#),
+                "valid: FB_Hadoop, WebSearch, Ali_Storage",
+            ),
+            (
+                with_workload(r#"{"kind":"datacenter","mixes":[[]],"loads":[0.5]}"#),
+                "at least one distribution",
+            ),
+            (
+                with_workload(r#"{"kind":"incast","degrees":[0]}"#),
+                "`degrees` must be >= 1",
+            ),
+            (
+                with_workload(r#"{"kind":"datacenter","mixes":[["WebSearch"]],"loads":[1.5]}"#),
+                "load 1.5 is not in (0, 1]",
+            ),
+            (
+                with_workload(r#"{"kind":"datacenter","mixes":[["WebSearch"]],"loads":[0]}"#),
+                "load 0 is not in (0, 1]",
+            ),
+            (faults(r#"{"name":"c","loss":2.0}"#), "not a probability"),
+            (
+                faults(r#"{"name":"c","loss":0,"flap_period_ns":1000,"flap_down_ns":1000}"#),
+                "shorter than flap_period_ns",
+            ),
+        ] {
+            let msg = bad.expect_err(says);
+            assert!(msg.contains(says), "{msg:?} does not say {says:?}");
+        }
     }
 
     #[test]

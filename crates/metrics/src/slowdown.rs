@@ -88,16 +88,6 @@ impl SlowdownTable {
         }
     }
 
-    /// The worst tail slowdown among bins whose size exceeds `min_size` —
-    /// the paper's headline "tail FCT of long flows" number.
-    pub fn worst_tail_above(&self, min_size: u64) -> Option<f64> {
-        self.points
-            .iter()
-            .filter(|p| p.size > min_size)
-            .map(|p| p.tail)
-            .fold(None, |acc, t| Some(acc.map_or(t, |a: f64| a.max(t))))
-    }
-
     /// Mean of the tail column over bins above `min_size` (a more stable
     /// comparison statistic than the single worst bin).
     pub fn mean_tail_above(&self, min_size: u64) -> Option<f64> {
@@ -158,19 +148,17 @@ mod tests {
     fn empty_input_is_empty_table() {
         let t = SlowdownTable::build(vec![], 100, 99.9);
         assert!(t.points.is_empty());
-        assert_eq!(t.worst_tail_above(0), None);
+        assert_eq!(t.mean_tail_above(0), None);
     }
 
     #[test]
-    fn worst_tail_above_filters_small_flows() {
+    fn mean_tail_above_filters_small_flows() {
         let recs = vec![
             rec(1_000, 50.0),     // small flow, bad slowdown
             rec(2_000_000, 10.0), // long flow
             rec(3_000_000, 20.0), // long flow, worse
         ];
         let t = SlowdownTable::build(recs, 3, 99.9);
-        assert_eq!(t.worst_tail_above(1_000_000), Some(20.0));
-        assert_eq!(t.worst_tail_above(0), Some(50.0));
         assert_eq!(t.mean_tail_above(1_000_000), Some(15.0));
     }
 }

@@ -134,16 +134,6 @@ impl Value {
         }
     }
 
-    /// The numeric payload as `i64`, if it is an integer in range.
-    pub fn as_i64(&self) -> Option<i64> {
-        match self {
-            Value::Num(n) if n.fract() == 0.0 && *n >= i64::MIN as f64 && *n <= i64::MAX as f64 => {
-                Some(*n as i64)
-            }
-            _ => None,
-        }
-    }
-
     /// The string payload, if this is a string.
     pub fn as_str(&self) -> Option<&str> {
         match self {

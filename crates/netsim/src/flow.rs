@@ -101,12 +101,6 @@ impl Flow {
         self.spec.size.as_u64() - self.sent
     }
 
-    /// Whether the flow has started by `now` and is not yet finished.
-    #[inline]
-    pub fn is_active(&self, now: Nanos) -> bool {
-        self.spec.start <= now && self.finished.is_none()
-    }
-
     /// Whether a CNP may be emitted now, and record it if so.
     ///
     /// DCQCN receivers rate-limit CNPs to one per `interval` per flow.
@@ -158,15 +152,6 @@ mod tests {
         f.acked = 2000;
         assert_eq!(f.inflight(), 3000);
         assert_eq!(f.remaining(), 995_000);
-    }
-
-    #[test]
-    fn activity_window() {
-        let mut f = Flow::new(FlowId(0), spec(), Box::new(Dummy));
-        assert!(!f.is_active(Nanos::ZERO)); // not started yet
-        assert!(f.is_active(Nanos::from_micros(5)));
-        f.finished = Some(Nanos::from_micros(100));
-        assert!(!f.is_active(Nanos::from_micros(200)));
     }
 
     #[test]

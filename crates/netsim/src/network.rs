@@ -54,12 +54,6 @@ pub struct NetConfig {
     /// this long while data is outstanding, the sender rewinds to the
     /// last acknowledged byte. Armed in lossy (finite-buffer) mode and
     /// whenever a fault plan is active.
-    ///
-    /// Deprecated semantics note: this used to be the *fixed* timeout;
-    /// it is now the base of the exponential backoff in
-    /// [`NetConfig::rto_backoff`]. Existing scenarios build unchanged —
-    /// set `rto_backoff: RtoBackoff::fixed()` to restore the old
-    /// constant-timeout behaviour exactly.
     pub rto: Nanos,
     /// Exponential RTO backoff policy applied on top of [`rto`]
     /// (multiplier, cap, deterministic jitter).

@@ -203,12 +203,6 @@ impl Port {
         self.tx_packets
     }
 
-    /// Number of queued packets.
-    #[inline]
-    pub fn qlen_packets(&self) -> usize {
-        self.queue.len()
-    }
-
     /// Append a packet to the queue, RED-marking data packets if
     /// configured and tail-dropping data packets that exceed a finite
     /// buffer. Returns `Ok(true)` if the port was idle (the caller should

@@ -106,59 +106,6 @@ impl Topology {
     }
 }
 
-impl Topology {
-    /// A 2-layer leaf-spine fabric: every leaf connects to every spine.
-    ///
-    /// Not used by the paper's evaluation, but the most common real
-    /// deployment shape — useful for checking that conclusions do not
-    /// depend on the 3-layer fat-tree.
-    pub fn leaf_spine(
-        leaves: usize,
-        spines: usize,
-        hosts_per_leaf: usize,
-        host_rate: BitRate,
-        fabric_rate: BitRate,
-        prop: Nanos,
-    ) -> Topology {
-        assert!(leaves >= 1 && spines >= 1 && hosts_per_leaf >= 1);
-        let mut b = NetBuilder::new();
-        let leaf_sw: Vec<NodeId> = (0..leaves).map(|_| b.add_switch()).collect();
-        let spine_sw: Vec<NodeId> = (0..spines).map(|_| b.add_switch()).collect();
-        let mut links = Vec::with_capacity(leaves * (spines + hosts_per_leaf));
-        for &l in &leaf_sw {
-            for &s in &spine_sw {
-                b.link(l, s, fabric_rate, prop);
-                links.push((l, s));
-            }
-        }
-        let mut hosts = Vec::with_capacity(leaves * hosts_per_leaf);
-        for &l in &leaf_sw {
-            for _ in 0..hosts_per_leaf {
-                let h = b.add_host();
-                b.link(h, l, host_rate, prop);
-                hosts.push(h);
-                links.push((h, l));
-            }
-        }
-        let mtu = Bytes::new(1000);
-        let host_ser = host_rate.serialization_delay(mtu);
-        let fabric_ser = fabric_rate.serialization_delay(mtu);
-        // Worst case: host -> leaf -> spine -> leaf -> host.
-        let one_way = (prop + host_ser) * 2 + (prop + fabric_ser) * 2;
-        let mut switches = leaf_sw;
-        switches.extend(spine_sw);
-        Topology {
-            builder: b,
-            hosts,
-            switches,
-            links,
-            host_rate,
-            max_hops: 3,
-            base_rtt: one_way * 2,
-        }
-    }
-}
-
 /// Parameters of the 3-layer fat-tree (paper Figure 7).
 #[derive(Debug, Clone, Copy)]
 pub struct FatTreeConfig {
@@ -393,45 +340,6 @@ mod tests {
         );
         // 2 links forward: 2*(1000ns + 80ns); ACK back 2*(1000ns + 5ns).
         assert_eq!(net.ideal_fct(id), Nanos::from_ns(2160 + 2010));
-    }
-
-    #[test]
-    fn leaf_spine_shape_and_routing() {
-        let t = Topology::leaf_spine(
-            4,
-            2,
-            8,
-            BitRate::from_gbps(100),
-            BitRate::from_gbps(400),
-            Nanos::MICRO,
-        );
-        assert_eq!(t.hosts.len(), 32);
-        assert_eq!(t.switches.len(), 6);
-        let hosts = t.hosts.clone();
-        let mut net = t
-            .builder
-            .build(NetConfig::default(), MonitorConfig::default());
-        // Cross-leaf flow must traverse a spine (3 switch hops).
-        let id = net.add_flow(
-            FlowSpec {
-                src: hosts[0],
-                dst: hosts[31],
-                size: Bytes::new(1000),
-                start: Nanos::ZERO,
-            },
-            Box::new(FixedRate(BitRate::from_gbps(100))),
-        );
-        // host->leaf 80ns + leaf->spine 20ns + spine->leaf 20ns +
-        // leaf->host 80ns, plus 4us prop; ACK back 4 hops.
-        let ideal = net.ideal_fct(id);
-        assert!(ideal > Nanos::from_micros(8), "{ideal}");
-        let mut sim = Simulation::new(net);
-        {
-            let (w, q) = sim.split_mut();
-            w.prime(q);
-        }
-        sim.run();
-        assert!(sim.world().all_finished());
     }
 
     #[test]

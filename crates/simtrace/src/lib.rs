@@ -19,12 +19,13 @@
 //!
 //! # Overhead model
 //!
-//! Gating mirrors the `sim-audit` pattern. Without the `trace` cargo
-//! feature, [`ENABLED`] is `false` at compile time, every
-//! [`Tracer::wants`] check const-folds away, and the recording paths are
-//! dead code. With the feature compiled in but [`TraceLevel::Off`], each
-//! instrumentation site costs a single predictable branch. Counters-only
-//! skips the event buffer; full tracing appends to a `Vec` per event.
+//! [`TraceConfig`] is the only gate, and it is a runtime one: every build
+//! carries the instrumentation sites. At [`TraceLevel::Off`] (the
+//! default) each site costs a single predictable branch on
+//! [`Tracer::wants`]; together they measure at 1–2.5 % of a run's wall
+//! time on the repository's benchmark (DESIGN.md, "Overhead model").
+//! Counters-only skips the event buffer; full tracing appends to a `Vec`
+//! per event.
 //!
 //! # Determinism
 //!
@@ -46,4 +47,4 @@ mod tracer;
 pub use config::{Subsystem, SubsystemMask, TraceConfig, TraceLevel};
 pub use event::TraceEvent;
 pub use metrics::{LogHistogram, MetricsRegistry};
-pub use tracer::{Tracer, ENABLED};
+pub use tracer::Tracer;

@@ -7,14 +7,6 @@ use crate::config::{Subsystem, TraceConfig, TraceLevel};
 use crate::event::TraceEvent;
 use crate::metrics::MetricsRegistry;
 
-/// Whether the `trace` cargo feature is compiled in.
-///
-/// When `false`, [`Tracer::wants`] is a compile-time constant `false`
-/// and every instrumentation site folds away entirely — the zero-cost
-/// half of the gating contract. When `true`, the runtime
-/// [`TraceConfig`] decides, costing one branch per site when off.
-pub const ENABLED: bool = cfg!(feature = "trace");
-
 /// Buffers structured events and end-of-run metrics for one simulation.
 ///
 /// Owned by the simulated network (or any other producer); recording is
@@ -50,7 +42,7 @@ impl Tracer {
     /// Whether full-stream events from `sub` should be recorded.
     #[inline]
     pub fn wants(&self, sub: Subsystem) -> bool {
-        ENABLED && self.cfg.level == TraceLevel::Full && self.cfg.subsystems.contains(sub)
+        self.cfg.level == TraceLevel::Full && self.cfg.subsystems.contains(sub)
     }
 
     /// Whether a CC state sample should be recorded for a flow that has
@@ -65,7 +57,7 @@ impl Tracer {
     /// Whether end-of-run counter/histogram publication is on.
     #[inline]
     pub fn counters_enabled(&self) -> bool {
-        ENABLED && self.cfg.level >= TraceLevel::Counters
+        self.cfg.level >= TraceLevel::Counters
     }
 
     /// Append one event at simulation time `t` (no-op unless
@@ -156,10 +148,9 @@ mod tests {
         let mut tr = Tracer::new(TraceConfig::counters());
         tr.record(Nanos::from_ns(10), ev(0));
         assert!(tr.is_empty());
-        assert_eq!(tr.counters_enabled(), ENABLED);
+        assert!(tr.counters_enabled());
     }
 
-    #[cfg(feature = "trace")]
     #[test]
     fn full_tracer_buffers_and_filters() {
         let mut tr = Tracer::new(TraceConfig::full().with_filter(Subsystem::Flow));
@@ -179,7 +170,6 @@ mod tests {
         assert_eq!(v["ev"].as_str(), Some("flow_start"));
     }
 
-    #[cfg(feature = "trace")]
     #[test]
     fn cc_sampling_cadence() {
         let tr = Tracer::new(TraceConfig::full().with_cc_sample_every(4));
@@ -189,7 +179,6 @@ mod tests {
         assert!(tr.wants_cc(4));
     }
 
-    #[cfg(feature = "trace")]
     #[test]
     fn chrome_export_has_trace_events_array() {
         let mut tr = Tracer::new(TraceConfig::full());

@@ -181,6 +181,9 @@ pub const WEBSEARCH: &str = "WebSearch";
 /// Canonical name for [`ali_storage`].
 pub const ALI_STORAGE: &str = "Ali_Storage";
 
+/// Every name [`by_name`] accepts.
+pub const NAMES: [&str; 3] = [FB_HADOOP, WEBSEARCH, ALI_STORAGE];
+
 /// Look a distribution up by its canonical name.
 pub fn by_name(name: &str) -> Option<EmpiricalCdf> {
     match name {
@@ -276,9 +279,7 @@ mod tests {
 
     #[test]
     fn lookup_by_name() {
-        assert!(by_name(FB_HADOOP).is_some());
-        assert!(by_name(WEBSEARCH).is_some());
-        assert!(by_name(ALI_STORAGE).is_some());
+        assert!(NAMES.iter().all(|n| by_name(n).is_some()));
         assert!(by_name("nope").is_none());
     }
 

@@ -15,11 +15,11 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-use fairness_repro::dcsim::{Bytes, DetRng, EventQueue, Nanos, Scheduler, TimingWheel};
-use fairness_repro::faircc::{VaiConfig, VariableAi};
-use fairness_repro::fairsim::{
-    CcSpec, IncastScenario, ProtocolKind, RunCtx, Scenario, SchedulerKind, Variant,
+use fairness_repro::dcsim::{
+    Bytes, DetRng, EventQueue, Nanos, Scheduler, SchedulerKind, TimingWheel,
 };
+use fairness_repro::faircc::{VaiConfig, VariableAi};
+use fairness_repro::fairsim::{CcSpec, IncastScenario, ProtocolKind, RunCtx, Scenario, Variant};
 use fairness_repro::netsim::packet::{PacketKind, PacketPool};
 use fairness_repro::netsim::pfc::PauseCounter;
 use fairness_repro::netsim::port::Port;

@@ -2,7 +2,7 @@
 //! produces sane slowdown tables under every protocol (a fast, shrunken
 //! version of the Figures 10-13 pipeline).
 
-use fairness_repro::dcsim::Nanos;
+use fairness_repro::dcsim::{Nanos, SchedulerKind};
 use fairness_repro::fairsim::{
     CcSpec, DatacenterScenario, ProtocolKind, RunCtx, Scenario, Variant,
 };
@@ -102,4 +102,30 @@ fn slowdown_grows_with_flow_size_at_the_tail() {
             "large-flow tail {large} should exceed small-flow tail {small}"
         );
     }
+}
+
+/// The paper's 320-host tree, the one paper-scale run in tier-1: what
+/// `RunCtx::new` runs on (the reference heap) and the forced timing wheel
+/// must agree on every result.
+#[test]
+fn paper_scale_tree_is_the_same_on_the_timing_wheel() {
+    let sc = DatacenterScenario {
+        fat_tree: FatTreeConfig::paper(),
+        horizon: Nanos::from_micros(20),
+        ..DatacenterScenario::reduced(
+            vec!["FB_Hadoop".to_string()],
+            CcSpec::new(ProtocolKind::Hpcc, Variant::VaiSf),
+            42,
+        )
+    };
+    let on_heap = sc.run_with(&RunCtx::new(42));
+    let on_wheel = sc.run_with(&RunCtx::new(42).with_scheduler(SchedulerKind::Wheel));
+    assert!(
+        on_heap.completed > 200,
+        "only {} completed",
+        on_heap.completed
+    );
+    assert_eq!(on_heap.raw, on_wheel.raw);
+    assert_eq!(on_heap.outcome, on_wheel.outcome);
+    assert_eq!(on_heap.events_handled, on_wheel.events_handled);
 }

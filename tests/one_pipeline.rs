@@ -4,10 +4,10 @@
 //! reports `RunOutcome::Budget` is a `fairsim` unit test: the budget is a
 //! constant with no public knob.)
 
-use fairness_repro::dcsim::{Bytes, Nanos};
+use fairness_repro::dcsim::{Bytes, Nanos, SchedulerKind};
 use fairness_repro::fairsim::{
     CcSpec, DatacenterScenario, FaultScenario, IncastScenario, ProtocolKind, RunCtx, Scenario,
-    SchedulerKind, Variant,
+    Variant,
 };
 use fairness_repro::netsim::FaultStats;
 use fairness_repro::workloads::IncastConfig;
