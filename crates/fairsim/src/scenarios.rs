@@ -348,36 +348,54 @@ impl Scenario for IncastScenario {
 /// averaged over the trailing `k` monitor samples (flows contribute to a
 /// point only while active; see [`IncastScenario::collect`] for why
 /// smoothing is needed at high incast degree).
+///
+/// One pass per point: the window's `flow_rates` are added, oldest sample
+/// first, into a per-flow accumulator indexed by flow id, and the active
+/// flows' means are read out in the newest sample's order. The summation
+/// order is part of the byte-identity contract — each flow's `f64` sum is
+/// formed oldest to newest over exactly the samples it appears in, so a
+/// sliding add/subtract window (different low bits) is not an equivalent.
 fn jain_over_trailing_window(samples: &[netsim::Sample], k: usize) -> Vec<(f64, f64)> {
-    let mut out = Vec::new();
+    let flows = samples
+        .iter()
+        .flat_map(|s| &s.flow_rates)
+        .map(|&(f, _)| f.idx() + 1)
+        .max()
+        .unwrap_or(0);
+    // Per-flow `(sum, count)` over the current window, zero between points;
+    // `touched` lists the non-zero ones, so clearing costs the window's
+    // flows and never the flow table.
+    let mut acc = vec![(0.0_f64, 0_u32); flows];
+    let mut touched = Vec::with_capacity(flows);
+    let mut out = Vec::with_capacity(samples.len());
     for (i, s) in samples.iter().enumerate() {
         if s.flow_rates.is_empty() {
             continue;
         }
-        debug_assert!(s.flow_rates.is_sorted_by_key(|&(f, _)| f));
-        let lo = i.saturating_sub(k - 1);
-        // Average each currently-active flow's rate over the window,
-        // counting only intervals where it appears.
-        let mut rates = Vec::with_capacity(s.flow_rates.len());
-        for &(fid, _) in &s.flow_rates {
-            let mut sum = 0.0;
-            let mut n = 0u32;
-            for w in &samples[lo..=i] {
-                // Ascending by flow id (the monitor walks the flow table), so
-                // no scan: the scan was most of an incast's collection time,
-                // and its speed swung ~60 % with where the build laid it out.
-                if let Ok(at) = w.flow_rates.binary_search_by_key(&fid, |&(f, _)| f) {
-                    sum += w.flow_rates[at].1;
-                    n += 1;
+        for w in &samples[i.saturating_sub(k - 1)..=i] {
+            for &(f, rate) in &w.flow_rates {
+                let (sum, n) = &mut acc[f.idx()];
+                if *n == 0 {
+                    touched.push(f);
                 }
-            }
-            if n > 0 {
-                rates.push(sum / n as f64);
+                *sum += rate;
+                *n += 1;
             }
         }
-        if !rates.is_empty() {
-            out.push((s.t.as_micros_f64(), jain(&rates)));
+        // Only the flows active now count, each averaged over the window
+        // intervals in which it appears.
+        let rates: Vec<f64> = s
+            .flow_rates
+            .iter()
+            .map(|&(f, _)| {
+                let (sum, n) = acc[f.idx()];
+                sum / n as f64
+            })
+            .collect();
+        for f in touched.drain(..) {
+            acc[f.idx()] = (0.0, 0);
         }
+        out.push((s.t.as_micros_f64(), jain(&rates)));
     }
     out
 }
@@ -442,8 +460,8 @@ impl IncastResult {
         self.queue.iter().map(|&(_, q)| q).max().unwrap_or(0)
     }
 
-    /// Mean bottleneck queue depth (bytes) over samples where any flow
-    /// was active.
+    /// Mean bottleneck queue depth (bytes) over every sample of the run,
+    /// whether or not a flow was active in it.
     pub fn mean_queue(&self) -> f64 {
         if self.queue.is_empty() {
             return 0.0;
@@ -977,6 +995,101 @@ mod tests {
         assert_eq!(res.convergence_time(0.95), Some(30.0));
         assert_eq!(res.convergence_time(0.999), None);
         assert_eq!(res.peak_queue(), 100);
+    }
+
+    /// The definition [`jain_over_trailing_window`] must reproduce bit for
+    /// bit: per active flow, per window sample oldest first, look the flow
+    /// up and add its rate.
+    fn jain_by_lookup(samples: &[netsim::Sample], k: usize) -> Vec<(f64, f64)> {
+        let mut out = Vec::new();
+        for (i, s) in samples.iter().enumerate() {
+            let mut rates = Vec::new();
+            for &(fid, _) in &s.flow_rates {
+                let (mut sum, mut n) = (0.0, 0u32);
+                for w in &samples[i.saturating_sub(k - 1)..=i] {
+                    if let Some(&(_, rate)) = w.flow_rates.iter().find(|&&(f, _)| f == fid) {
+                        sum += rate;
+                        n += 1;
+                    }
+                }
+                rates.push(sum / n as f64);
+            }
+            if !rates.is_empty() {
+                out.push((s.t.as_micros_f64(), jain(&rates)));
+            }
+        }
+        out
+    }
+
+    fn sample(t_us: u64, flow_rates: Vec<(u32, f64)>) -> netsim::Sample {
+        netsim::Sample {
+            t: Nanos::from_micros(t_us),
+            queue_bytes: vec![],
+            flow_rates: flow_rates
+                .into_iter()
+                .map(|(f, r)| (netsim::FlowId(f), r))
+                .collect(),
+        }
+    }
+
+    #[test]
+    fn one_pass_window_equals_the_per_flow_lookup_bit_for_bit() {
+        for case in 0..48u64 {
+            let mut rng = dcsim::DetRng::new(0x1a1 + case);
+            // Sparse, non-contiguous ids; each flow is present over a span
+            // of samples (joins and leaves inside windows) with holes in
+            // it, and some samples end up empty.
+            let ids: Vec<u32> = (0..2 + rng.below(30))
+                .scan(0, |id, _| {
+                    *id += 1 + rng.below(40) as u32;
+                    Some(*id)
+                })
+                .collect();
+            let n_samples = 1 + rng.below(80);
+            let spans: Vec<(u64, u64)> = ids
+                .iter()
+                .map(|_| {
+                    let from = rng.below(n_samples);
+                    (from, from + 1 + rng.below(n_samples))
+                })
+                .collect();
+            let samples: Vec<netsim::Sample> = (0..n_samples)
+                .map(|i| {
+                    let mut rates = Vec::new();
+                    for (&id, &(from, to)) in ids.iter().zip(&spans) {
+                        if from <= i && i < to && rng.below(4) > 0 {
+                            rates.push((id, 1e11 * rng.f64()));
+                        }
+                    }
+                    sample(5 * i, rates)
+                })
+                .collect();
+            for k in [1, 2, 24, samples.len() + 7] {
+                let got = jain_over_trailing_window(&samples, k);
+                let want = jain_by_lookup(&samples, k);
+                assert_eq!(got.len(), want.len(), "case {case} k {k}");
+                for (g, w) in got.iter().zip(&want) {
+                    assert_eq!(g.0.to_bits(), w.0.to_bits(), "case {case} k {k}: time");
+                    assert_eq!(g.1.to_bits(), w.1.to_bits(), "case {case} k {k} t {}", g.0);
+                }
+            }
+        }
+    }
+
+    /// The a2fq `get_fairness_index` exemplar divides by `n * sum(x^2)`
+    /// unguarded; the series must not turn an idle interval into NaN.
+    #[test]
+    fn idle_and_lone_flow_samples_are_perfectly_fair() {
+        let samples = [
+            sample(5, vec![(0, 0.0), (1, 0.0), (2, 0.0)]), // nobody delivered a byte
+            sample(10, vec![]),                            // no active flow: no point
+            sample(15, vec![(7, 4e10)]),                   // a lone flow
+            sample(20, vec![(7, 0.0)]),                    // a lone, stalled flow
+        ];
+        for k in [1, 3] {
+            let series = jain_over_trailing_window(&samples, k);
+            assert_eq!(series, [(5.0, 1.0), (15.0, 1.0), (20.0, 1.0)], "window {k}");
+        }
     }
 
     #[test]

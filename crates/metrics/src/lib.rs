@@ -69,18 +69,6 @@ pub fn median(values: &[f64]) -> f64 {
     percentile(values, 50.0)
 }
 
-/// A time series of Jain indices computed from per-flow rate samples
-/// (the output of `netsim`'s monitor).
-pub fn jain_series<'a, I>(samples: I) -> Vec<(f64, f64)>
-where
-    I: IntoIterator<Item = (f64, &'a [f64])>,
-{
-    samples
-        .into_iter()
-        .map(|(t, rates)| (t, jain(rates)))
-        .collect()
-}
-
 /// The *unfairness integral* of a Jain-index time series:
 /// `∫ (1 − J(t)) dt` over the series span, by trapezoidal rule.
 ///
@@ -174,6 +162,23 @@ mod tests {
         assert!(p > 997.0, "{p}");
     }
 
+    /// Tiny samples: one element is every percentile; two interpolate
+    /// linearly between them.
+    #[test]
+    fn percentile_of_one_and_two_elements() {
+        for p in [0.0, 50.0, 99.9, 100.0] {
+            assert_eq!(percentile(&[7.5], p), 7.5, "p {p}");
+            assert_eq!(percentile_sorted(&[7.5], p), 7.5, "p {p}");
+        }
+        for (p, want) in [(0.0, 2.0), (50.0, 4.0), (100.0, 6.0)] {
+            assert_eq!(percentile_sorted(&[2.0, 6.0], p), want, "p {p}");
+            assert_eq!(percentile(&[6.0, 2.0], p), want, "unsorted, p {p}");
+        }
+        let p999 = percentile(&[6.0, 2.0], 99.9);
+        assert!((p999 - 5.996).abs() < 1e-12 && p999 < 6.0, "{p999}");
+        assert_eq!(percentile_sorted(&[2.0, 6.0], 99.9), p999);
+    }
+
     #[test]
     fn median_shortcut() {
         assert_eq!(median(&[3.0, 1.0, 2.0]), 2.0);
@@ -204,16 +209,6 @@ mod tests {
         let fast = [(0.0, 0.5), (10.0, 0.95), (100.0, 1.0)];
         let slow = [(0.0, 0.5), (50.0, 0.6), (100.0, 1.0)];
         assert!(unfairness_integral(&fast) < unfairness_integral(&slow));
-    }
-
-    #[test]
-    fn jain_series_maps() {
-        let r1 = [1.0, 1.0];
-        let r2 = [1.0, 0.0];
-        let s = jain_series(vec![(0.0, &r1[..]), (1.0, &r2[..])]);
-        assert_eq!(s.len(), 2);
-        assert!((s[0].1 - 1.0).abs() < 1e-12);
-        assert!((s[1].1 - 0.5).abs() < 1e-12);
     }
 
     /// Jain is always in (0, 1] and equals 1 iff all rates equal.
