@@ -208,7 +208,6 @@ impl<E> TimingWheel<E> {
             ((63 - delta.leading_zeros()) / BITS) as usize
         };
         let slot = ((t >> (BITS as u64 * level as u64)) & (SLOTS as u64 - 1)) as usize;
-        // simlint: allow(A1) — wheel slot buckets drain and refill in place, so capacity settles at each slot's high-water mark during warm-up and pushes stop allocating
         self.slots[level * SLOTS + slot].push(e);
         self.occupied[level] |= 1 << slot;
     }

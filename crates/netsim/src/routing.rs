@@ -29,12 +29,9 @@ impl RoutingTable {
     /// hosts) over the given adjacency.
     pub fn compute(adj: &Adjacency, dests: &[NodeId]) -> Self {
         let n = adj.len();
-        // simlint: allow(A1) — table rebuild runs once per link-state event, not per packet; the O(n^2) table is unavoidably fresh each rebuild
         let mut next = vec![vec![Vec::new(); n]; n];
 
-        // simlint: allow(A1) — per-rebuild scratch distance vector, exact-sized at creation
         let mut dist = vec![u32::MAX; n];
-        // simlint: allow(A1) — per-rebuild BFS queue, cleared and reused across destinations within one rebuild
         let mut bfs = VecDeque::new();
         for &d in dests {
             // Reverse BFS from the destination. Links are symmetric, so

@@ -59,7 +59,9 @@ impl std::fmt::Display for RunOutcome {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             RunOutcome::Stalled { flows } => write!(f, "stalled ({} flows)", flows.len()),
-            other => f.write_str(other.name()),
+            RunOutcome::Completed | RunOutcome::Horizon | RunOutcome::Budget => {
+                f.write_str(self.name())
+            }
         }
     }
 }
@@ -226,10 +228,10 @@ mod tests {
             u64::MAX,
             Nanos::from_millis(1),
         );
-        match out {
-            RunOutcome::Stalled { flows } => assert_eq!(flows, vec![FlowId(0)]),
-            other => panic!("expected a stall, got {other}"),
-        }
+        let RunOutcome::Stalled { flows } = out else {
+            panic!("expected a stall, got {out}")
+        };
+        assert_eq!(flows, vec![FlowId(0)]);
         // Detection came well before the full horizon burned.
         assert!(sim.now() < Nanos::from_millis(500));
     }

@@ -3,11 +3,11 @@
 //! (retired here; a typo looks the same). The directive is the finding.
 
 pub fn quiet() -> u64 {
-    // simlint: allow(D5) — legacy justification that no longer applies
+    // simlint: allow(D4) — legacy justification that no longer applies
     40 + 2
 }
 
 pub fn retired() -> u64 {
-    // simlint: allow(D6) — was a fault-RNG exemption; D6 is not a rule any more
+    // simlint: allow(D1) — was a default-hasher exemption; D1 is clippy's now
     7
 }

@@ -204,8 +204,8 @@ pub enum Lit {
     Int(String),
     /// Float.
     Float,
-    /// String; `true` when non-empty.
-    Str(bool),
+    /// String.
+    Str,
     /// Char/byte.
     Char,
     /// `true` / `false`.
@@ -420,8 +420,6 @@ pub enum ExprKind {
     },
     /// Macro invocation; arguments parsed as expressions when they are.
     MacroCall {
-        /// Macro name (last path segment, without `!`).
-        name: String,
         /// Inner expressions the parser could shape.
         args: Vec<Expr>,
     },
@@ -449,15 +447,11 @@ pub struct Arm {
     pub guard: Option<Expr>,
     /// Arm body.
     pub body: Expr,
-    /// 1-based line of the pattern.
-    pub line: usize,
 }
 
 /// Patterns, shaped only as far as the rules read them.
 #[derive(Debug, Clone)]
 pub enum Pat {
-    /// `_`
-    Wild,
     /// Path pattern: a bare binding (`x`), a unit variant (`Heap`), or a
     /// qualified variant (`SchedulerKind::Heap`) — resolution happens in
     /// the checker, which knows the enums.
@@ -469,28 +463,11 @@ pub enum Pat {
         /// Element patterns.
         elems: Vec<Pat>,
     },
-    /// Struct pattern `Path { … }` (fields not tracked).
-    Struct {
-        /// Struct path.
-        path: Vec<String>,
-    },
     /// Tuple pattern.
     Tuple(Vec<Pat>),
-    /// Literal pattern (incl. negative numbers and ranges).
-    Lit,
     /// `p1 | p2 | …`
     Or(Vec<Pat>),
-    /// `ident @ pat`, `ref`/`mut` bindings, slices, rests, and anything
-    /// else — never wildcard-like for rule purposes.
+    /// `_`, literals and ranges, struct patterns, `ident @ pat`, slices,
+    /// rests, and anything else: binds nothing the checker tracks.
     Other,
-}
-
-impl Pat {
-    /// The binding name, when this pattern is a simple one-segment path.
-    pub fn as_binding(&self) -> Option<&str> {
-        match self {
-            Pat::Path(segs) if segs.len() == 1 => Some(&segs[0]),
-            _ => None,
-        }
-    }
 }

@@ -1,13 +1,10 @@
-//! Workspace call graph for the interprocedural rules (P1, P3, A1).
+//! Workspace call graph for the interprocedural rules (P1, P3).
 //!
 //! The semantic walker ([`crate::sem`]) already infers a receiver type at
 //! every call site; this module records those observations as per-function
-//! [`FnFacts`], links them into a [`CallGraph`], and defines — once, for
-//! [`crate::flow`] and [`crate::cost`] alike — which functions count as
-//! sim code ([`CallGraph::sim_nontest`]) and where the engine's hot paths
-//! start ([`CallGraph::hot_roots`]). How far a rule walks from those roots
-//! is the rule's own business: P1 follows every edge, A1 prunes the walk
-//! with its cost heuristics ([`crate::cost`]).
+//! [`FnFacts`], links them into a [`CallGraph`], and defines which
+//! functions count as sim code ([`CallGraph::sim_nontest`]) and where the
+//! engine's hot paths start ([`CallGraph::hot_roots`]).
 //!
 //! Resolution is deliberately an over-approximation in the same spirit as
 //! the rest of simlint:
@@ -22,7 +19,7 @@
 //!   do not glue the whole graph together;
 //! - recursion is handled by ordinary visited-set BFS, so cycles are safe.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 use crate::{scope_of, Scope};
 
@@ -75,35 +72,6 @@ pub enum StreamArg {
     Other,
 }
 
-/// The shape of a heap allocation the A1 cost rule reports.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AllocKind {
-    /// `Box::new(..)`.
-    BoxNew,
-    /// `Vec::new()` / `vec![..]` without a reachable capacity reservation.
-    VecGrowth,
-    /// `.push(..)` on a positively-inferred `Vec` receiver.
-    VecPush,
-    /// `String::new`/`String::from`/`format!`/`.to_string()`/`.to_owned()`.
-    StringAlloc,
-    /// `.clone()` of a workspace type that owns heap storage.
-    CloneHeap,
-}
-
-/// A heap-allocation site observed in a function body (A1 raw material).
-#[derive(Debug, Clone)]
-pub struct AllocSite {
-    /// 1-based line.
-    pub line: usize,
-    /// What allocates.
-    pub kind: AllocKind,
-    /// Source rendering / type detail for the message (`Box::new`,
-    /// `.clone()` of `Packet`, …).
-    pub what: String,
-    /// The site sits inside a loop body — per-iteration allocation.
-    pub in_loop: bool,
-}
-
 /// Everything the graph rules need to know about one function body.
 #[derive(Debug, Clone, Default)]
 pub struct FnFacts {
@@ -124,12 +92,6 @@ pub struct FnFacts {
     /// SCREAMING_CASE path references (candidate static/const reads),
     /// with their lines.
     pub caps_refs: Vec<(String, usize)>,
-    /// Heap-allocation sites (A1 raw material).
-    pub alloc_sites: Vec<AllocSite>,
-    /// The body calls `with_capacity`/`reserve`/`reserve_exact` somewhere —
-    /// growth-allocation findings in this function are then presumed
-    /// amortized and suppressed.
-    pub reserves: bool,
 }
 
 /// A `static` item declaration.
@@ -168,23 +130,16 @@ pub struct CallGraph {
     pub statics: Vec<StaticItem>,
     /// Forward edges: `edges[i]` are the fn indices `fns[i]` may call.
     pub edges: Vec<Vec<usize>>,
-    /// Edges that only exist because of name-only method dispatch (the
-    /// receiver type was unknown). Low confidence: hot-path reachability
-    /// is not extended through them, because one false `.get()`/
-    /// `.expect()` match would poison an entire subtree.
-    pub name_only: BTreeSet<(usize, usize)>,
 }
 
-/// Once-per-run driver roots: only per-iteration cost counts inside them.
-const RUN_ROOTS: [&str; 3] = ["run", "run_with", "run_watched"];
-
-/// Per-event root selection. `step` and owner-qualified `handle` are the
-/// dispatcher; `push`/`pop` only count on scheduler-shaped owners (the
-/// bare names would match every `Vec` helper in the workspace), and
-/// `enqueue`/`dequeue` on any method owner (they are not std names).
-fn is_event_root(key: &FnKey) -> bool {
+/// Hot-root selection: the once-per-run drivers (`run`, `run_with`,
+/// `run_watched`), `step` and owner-qualified `handle` (the dispatcher),
+/// `push`/`pop` on scheduler-shaped owners only (the bare names would
+/// match every `Vec` helper in the workspace), and `enqueue`/`dequeue` on
+/// any method owner (they are not std names).
+fn is_hot_root(key: &FnKey) -> bool {
     match key.name.as_str() {
-        "step" => true,
+        "run" | "run_with" | "run_watched" | "step" => true,
         "handle" => key.owner.is_some(),
         "push" | "pop" => key
             .owner
@@ -222,48 +177,29 @@ impl CallGraph {
         }
 
         let mut edges: Vec<Vec<usize>> = vec![Vec::new(); fns.len()];
-        let mut name_only: BTreeSet<(usize, usize)> = BTreeSet::new();
-        let mut confident: BTreeSet<(usize, usize)> = BTreeSet::new();
         for (i, f) in fns.iter().enumerate() {
             for c in &f.calls {
-                let mut low_confidence = false;
                 let targets: &[usize] = match (&c.owner, c.via_method) {
                     (Some(owner), _) => by_exact
                         .get(&(Some(owner.as_str()), c.name.as_str()))
                         .map_or(&[], Vec::as_slice),
-                    (None, true) => {
-                        low_confidence = true;
-                        methods_by_name
-                            .get(c.name.as_str())
-                            .map(Vec::as_slice)
-                            .filter(|cands| cands.len() <= DISPATCH_FANOUT_CAP)
-                            .unwrap_or(&[])
-                    }
+                    (None, true) => methods_by_name
+                        .get(c.name.as_str())
+                        .map(Vec::as_slice)
+                        .filter(|cands| cands.len() <= DISPATCH_FANOUT_CAP)
+                        .unwrap_or(&[]),
                     (None, false) => free_by_name.get(c.name.as_str()).map_or(&[], Vec::as_slice),
                 };
-                for &t in targets {
-                    if t != i {
-                        edges[i].push(t);
-                        if low_confidence {
-                            name_only.insert((i, t));
-                        } else {
-                            // A typed resolution of the same edge outranks
-                            // any name-only match recorded earlier.
-                            confident.insert((i, t));
-                        }
-                    }
-                }
+                edges[i].extend(targets.iter().copied().filter(|&t| t != i));
             }
             edges[i].sort_unstable();
             edges[i].dedup();
         }
-        name_only.retain(|e| !confident.contains(e));
 
         CallGraph {
             fns,
             statics,
             edges,
-            name_only,
         }
     }
 
@@ -275,22 +211,15 @@ impl CallGraph {
 
     /// Where the engine's hot paths start: the once-per-run drivers and
     /// the per-event roots.
-    pub fn hot_roots(&self) -> HotRoots {
-        let sim_fns = |pick: &dyn Fn(&FnKey) -> bool| -> Vec<usize> {
-            (0..self.fns.len())
-                .filter(|&i| self.sim_nontest(i) && pick(&self.fns[i].key))
-                .collect()
-        };
-        HotRoots {
-            run: sim_fns(&|k| RUN_ROOTS.contains(&k.name.as_str())),
-            event: sim_fns(&is_event_root),
-        }
+    pub fn hot_roots(&self) -> Vec<usize> {
+        (0..self.fns.len())
+            .filter(|&i| self.sim_nontest(i) && is_hot_root(&self.fns[i].key))
+            .collect()
     }
 
-    /// Forward BFS from `roots` over the edges `follow(from, to)` admits,
-    /// keeping parents for witness chains. Recursion is handled by the
-    /// visited set.
-    pub fn reach(&self, roots: &[usize], follow: impl Fn(usize, usize) -> bool) -> Reach {
+    /// Forward BFS from `roots` over every edge, keeping parents for
+    /// witness chains. Recursion is handled by the visited set.
+    pub fn reach(&self, roots: &[usize]) -> Reach {
         let mut parent: BTreeMap<usize, Option<usize>> = BTreeMap::new();
         let mut queue: Vec<usize> = Vec::new();
         for &r in roots {
@@ -304,9 +233,6 @@ impl CallGraph {
             let cur = queue[at];
             at += 1;
             for &next in &self.edges[cur] {
-                if !follow(cur, next) {
-                    continue;
-                }
                 if let std::collections::btree_map::Entry::Vacant(e) = parent.entry(next) {
                     e.insert(Some(cur));
                     queue.push(next);
@@ -352,22 +278,6 @@ impl Reach {
     /// Whether `i` is in the closure.
     pub fn contains(&self, i: usize) -> bool {
         self.parent.contains_key(&i)
-    }
-}
-
-/// The roots selected by [`CallGraph::hot_roots`].
-#[derive(Debug, Default)]
-pub struct HotRoots {
-    /// Once-per-run drivers (`run`, `run_with`, `run_watched`).
-    pub run: Vec<usize>,
-    /// Per-event roots: the dispatcher and the scheduler/queue operations.
-    pub event: Vec<usize>,
-}
-
-impl HotRoots {
-    /// Every root, run drivers first.
-    pub fn all(&self) -> Vec<usize> {
-        self.run.iter().chain(&self.event).copied().collect()
     }
 }
 
@@ -430,17 +340,13 @@ mod tests {
         let drive = idx(&g, "drive");
         // The receiver's type is unknown, so the call over-approximates to
         // every same-name method: both impls plus the trait's own
-        // declaration (kept so trait *default* bodies resolve too) — all
-        // marked low-confidence.
+        // declaration (kept so trait *default* bodies resolve too).
         let dispatched: Vec<usize> = g.edges[drive]
             .iter()
             .copied()
             .filter(|&t| g.fns[t].key.name == "push_event")
             .collect();
         assert_eq!(dispatched.len(), 3, "impls + trait decl targeted");
-        assert!(dispatched
-            .iter()
-            .all(|&t| g.name_only.contains(&(drive, t))));
         let owners: Vec<&str> = dispatched
             .iter()
             .filter_map(|&t| g.fns[t].key.owner.as_deref())
@@ -461,7 +367,7 @@ mod tests {
              fn looper() { looper(); helper(); }\n\
              fn helper() {}\n",
         )]);
-        let reach = g.reach(&g.hot_roots().all(), |_, _| true);
+        let reach = g.reach(&g.hot_roots());
         assert!(reach.contains(idx(&g, "pong")));
         // Self-edges are dropped at build time; the cycle still terminates
         // and reaches past itself.
@@ -471,7 +377,7 @@ mod tests {
     }
 
     #[test]
-    fn hot_roots_are_sim_nontest_drivers_and_event_roots_and_reach_obeys_follow() {
+    fn hot_roots_are_sim_nontest_drivers_and_event_roots() {
         let g = graph_of(&[
             (
                 "crates/dcsim/src/engine.rs",
@@ -486,14 +392,11 @@ mod tests {
         ]);
         let roots = g.hot_roots();
         assert_eq!(
-            roots.run,
-            vec![idx(&g, "run")],
+            roots,
+            vec![idx(&g, "run"), idx(&g, "step")],
             "test and support fns are no roots"
         );
-        assert_eq!(roots.event, vec![idx(&g, "step")]);
-        let shared = idx(&g, "shared");
-        assert!(g.reach(&roots.all(), |_, _| true).contains(shared));
-        assert!(!g.reach(&roots.all(), |_, to| to != shared).contains(shared));
+        assert!(g.reach(&roots).contains(idx(&g, "shared")));
     }
 
     #[test]
@@ -504,7 +407,7 @@ mod tests {
              fn middle() { leaf(); }\n\
              fn leaf() {}\n",
         )]);
-        let reach = g.reach(&g.hot_roots().all(), |_, _| true);
+        let reach = g.reach(&g.hot_roots());
         let w = g.witness(&reach, idx(&g, "leaf"));
         assert!(
             w.contains("run") && w.contains("middle") && w.contains("leaf"),

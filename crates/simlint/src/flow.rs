@@ -3,9 +3,8 @@
 //! - **P1** — shared mutable statics / interior-mutability cells: state
 //!   that outlives a run and is shared across threads. Every such static
 //!   in sim code fires; one declared elsewhere fires when anything the
-//!   engine's hot roots can reach references it — over *every* call edge,
-//!   setup callees and name-only dispatch included (A1's cost pruning
-//!   says nothing about what state a run can touch).
+//!   engine's hot roots can reach references it — over every call edge,
+//!   setup callees and name-only dispatch included.
 //! - **P3** — DetRng stream discipline: subsystem context propagates down
 //!   the call graph, so a helper that seeds a private `DetRng::new` three
 //!   calls below fault code is still caught.
@@ -16,7 +15,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use crate::callgraph::{CallGraph, HotRoots, StreamArg};
+use crate::callgraph::{CallGraph, StreamArg};
 use crate::{scope_of, Finding, Rule, Scope};
 
 /// Type names that carry interior mutability when they appear anywhere in
@@ -85,9 +84,9 @@ fn fn_marker(name: &str) -> Option<u64> {
 }
 
 /// Run both rules over the linked graph.
-pub fn check(g: &CallGraph, roots: &HotRoots) -> Vec<Finding> {
+pub fn check(g: &CallGraph) -> Vec<Finding> {
     let mut out = Vec::new();
-    check_p1(g, roots, &mut out);
+    check_p1(g, &mut out);
     check_p3(g, &mut out);
     out
 }
@@ -104,8 +103,8 @@ fn push(out: &mut Vec<Finding>, path: &str, line: usize, rule: Rule, message: St
 
 // ----- P1: shared mutable global state -----------------------------------
 
-fn check_p1(g: &CallGraph, roots: &HotRoots, out: &mut Vec<Finding>) {
-    let hot = &g.reach(&roots.all(), |_, _| true);
+fn check_p1(g: &CallGraph, out: &mut Vec<Finding>) {
+    let hot = &g.reach(&g.hot_roots());
 
     for s in &g.statics {
         if s.is_test || !(s.is_mut || s.interior) {
@@ -345,7 +344,7 @@ mod tests {
 
     fn p1_lines(srcs: &[(&str, &str)]) -> Vec<(String, usize)> {
         let g = graph_of(srcs);
-        check(&g, &g.hot_roots())
+        check(&g)
             .into_iter()
             .filter(|f| f.rule == Rule::P1)
             .map(|f| (f.path, f.line))
@@ -357,8 +356,8 @@ mod tests {
 
     #[test]
     fn p1_reaches_support_statics_through_setup_callees_and_untyped_receivers() {
-        // `init_table` is a name A1's walk treats as amortized setup, and
-        // `r.record_hit()` resolves by name only; P1 follows both.
+        // `init_table` is setup, and `r.record_hit()` resolves by name
+        // only; P1 follows both.
         let hits = p1_lines(&[
             (
                 ENGINE,

@@ -43,8 +43,8 @@ pub enum TokKind {
     Int(String),
     /// Float literal, raw text (`8.0`, `1e9`, `2.5f32`).
     Float(String),
-    /// String / raw string / byte-string literal; `true` when non-empty.
-    Str(bool),
+    /// String / raw string / byte-string literal.
+    Str,
     /// Char or byte literal.
     Char,
     /// Single punctuation character; `joint` is true when the following
@@ -128,14 +128,6 @@ impl Lexed {
     pub fn line_col(&self, pos: usize) -> (usize, usize) {
         let line = self.line_starts.partition_point(|&s| s <= pos);
         (line, pos - self.line_starts[line - 1] + 1)
-    }
-
-    /// Byte offset of the first byte of a 1-based line.
-    pub fn line_start(&self, line: usize) -> usize {
-        self.line_starts
-            .get(line.saturating_sub(1))
-            .copied()
-            .unwrap_or(0)
     }
 }
 
@@ -294,9 +286,9 @@ pub fn lex(src: &str) -> Result<Lexed, LexError> {
         // Strings.
         if b == b'"' {
             lx.bump();
-            let nonempty = lex_str_body(&mut lx, false, 0)?;
+            lex_str_body(&mut lx, false, 0)?;
             out.tokens.push(Token {
-                kind: TokKind::Str(nonempty),
+                kind: TokKind::Str,
                 span: Span { lo, hi: lx.pos },
                 line,
             });
@@ -471,9 +463,9 @@ fn lex_prefixed(
         while lx.pos < j + 1 {
             lx.bump();
         }
-        let nonempty = lex_str_body(lx, is_raw, hashes)?;
+        lex_str_body(lx, is_raw, hashes)?;
         return Ok(Some(Token {
-            kind: TokKind::Str(nonempty),
+            kind: TokKind::Str,
             span: Span { lo, hi: lx.pos },
             line,
         }));
@@ -484,8 +476,7 @@ fn lex_prefixed(
 /// Consume a string body up to and including its closing quote (plus
 /// `hashes` trailing `#` for raw strings). The opening quote has already
 /// been consumed. Returns whether the body was non-empty.
-fn lex_str_body(lx: &mut Lexer<'_>, raw: bool, hashes: usize) -> Result<bool, LexError> {
-    let body_start = lx.pos;
+fn lex_str_body(lx: &mut Lexer<'_>, raw: bool, hashes: usize) -> Result<(), LexError> {
     loop {
         match lx.peek() {
             None => return Err(lx.err("unterminated string literal")),
@@ -496,12 +487,11 @@ fn lex_str_body(lx: &mut Lexer<'_>, raw: bool, hashes: usize) -> Result<bool, Le
             Some(b'"') => {
                 let all = (1..=hashes).all(|h| lx.src.get(lx.pos + h) == Some(&b'#'));
                 if all {
-                    let nonempty = lx.pos > body_start;
                     lx.bump();
                     for _ in 0..hashes {
                         lx.bump();
                     }
-                    return Ok(nonempty);
+                    return Ok(());
                 }
                 lx.bump();
             }
@@ -621,14 +611,7 @@ mod tests {
     #[test]
     fn strings_raw_and_byte() {
         let ks = kinds(r##"let a = "hi"; let b = r#"raw"#; let c = b"x"; let d = "";"##);
-        let strs: Vec<_> = ks
-            .iter()
-            .filter_map(|k| match k {
-                TokKind::Str(ne) => Some(*ne),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(strs, vec![true, true, true, false]);
+        assert_eq!(ks.iter().filter(|k| **k == TokKind::Str).count(), 4);
     }
 
     #[test]
@@ -686,7 +669,6 @@ mod tests {
         let lexed = lex(src).expect("lexes");
         assert_eq!(lexed.line_col(0), (1, 1));
         assert_eq!(lexed.line_col(src.find('e').expect("present")), (2, 4));
-        assert_eq!(lexed.line_start(2), 3);
     }
 
     #[test]

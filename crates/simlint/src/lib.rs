@@ -18,13 +18,13 @@
 //!    reported as a parse failure (exit code 2) and contributes no
 //!    findings; everything else degrades to opaque nodes.
 //! 3. [`sym`] builds the workspace symbol table from every parsed file.
-//! 4. Per-file checks: [`tokens`] scans the token stream (D1, D2, D4, D5
-//!    and P1's `thread_local!` prong — rules that need no types), and
-//!    [`sem`] walks the AST with local type inference ([`infer`]) for
-//!    U1, O1 and E1, recording per-function facts as it goes.
+//! 4. Per-file checks: [`tokens`] scans the token stream for D4 (a
+//!    spelling rule that needs no types), and [`sem`] walks the AST with
+//!    local type inference ([`infer`]) for U1 and O1, recording
+//!    per-function facts as it goes.
 //! 5. [`callgraph`] links those facts into a workspace call graph;
-//!    [`flow`] (P1, P3) and [`cost`] (A1) run on it and attach witness
-//!    chains from an engine hot root.
+//!    [`flow`] (P1, P3) runs on it and attaches witness chains from an
+//!    engine hot root.
 //! 6. Suppression, once, over all findings of a file — then S1 reports
 //!    every `allow` that suppressed nothing or names no rule.
 //!
@@ -32,14 +32,19 @@
 //!
 //! [`Rule::explain`] is the single source of the rule table
 //! (`cargo run -p simlint -- --explain [RULE]`). DESIGN.md records what
-//! each rule has caught and which guard replaced each retired rule.
+//! each rule has caught and which guard replaced each retired rule —
+//! default hashers, wall-clock reads, `.unwrap()`, wildcard arms and
+//! `thread_local!` are clippy's (the workspace `[lints]` table and
+//! `clippy.toml`), hot-path allocation is measured by
+//! `tests/alloc_budget.rs`.
 //!
 //! *Sim scope* is `dcsim`, `netsim`, `core` (faircc), `cc-*`, `fairsim`,
 //! `fleet`, `simtrace`, the workspace root's `src/`, `tests/` and
-//! `examples/`, and anything outside `crates/` (the benchmark, the
-//! self-test fixtures). The support crates (`minijson`, `workloads`,
-//! `metrics`, `fluid`, `simlint` itself) get D2 only; the figure harness
-//! (`bench`) may also read the wall clock.
+//! `examples/`, and anything else outside `crates/` (the self-test
+//! fixtures). The support crates (`minijson`, `workloads`, `metrics`,
+//! `fluid`, `bench`, `simlint` itself) only answer to P1, for statics the
+//! engine hot paths reach. The benchmark (`benchmark/`, a timing harness
+//! and a package of its own) is not scanned.
 //!
 //! # Suppression
 //!
@@ -50,7 +55,7 @@
 //! let k = (us / interval).ceil() as usize; // simlint: allow(D4) — bounded count
 //! ```
 //!
-//! Multiple ids separate with commas: `simlint: allow(D1, D5)`. Doc
+//! Multiple ids separate with commas: `simlint: allow(U1, O1)`. Doc
 //! comments are documentation, not directives.
 //!
 //! # Heuristics, stated plainly
@@ -68,7 +73,6 @@
 
 pub mod ast;
 pub mod callgraph;
-pub mod cost;
 pub mod emit;
 pub mod flow;
 pub mod infer;
@@ -86,59 +90,32 @@ use std::path::{Path, PathBuf};
 /// One of the determinism/invariant rules.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Rule {
-    /// Default-hasher `HashMap`/`HashSet`/`RandomState` in sim code.
-    D1,
-    /// Wall-clock reads outside `bench`.
-    D2,
     /// Lossy float→integer casts outside `units.rs`.
     D4,
-    /// `.unwrap()` / empty-message `.expect()` in sim code.
-    D5,
     /// Arithmetic mixing unit newtypes with raw integers or each other.
     U1,
     /// Unchecked `+`/`*`/`+=` on u64 quantities in dcsim/netsim.
     O1,
-    /// Wildcard `_` match arms over workspace protocol enums.
-    E1,
     /// Shared mutable state in sim code or reachable from engine hot paths.
     P1,
     /// DetRng stream discipline violated across call chains.
     P3,
-    /// Heap allocation in functions reachable from engine hot roots.
-    A1,
     /// `simlint: allow(...)` comments that suppress nothing or name no rule.
     S1,
 }
 
 impl Rule {
     /// Every rule, in id order.
-    pub const ALL: [Rule; 11] = [
-        Rule::D1,
-        Rule::D2,
-        Rule::D4,
-        Rule::D5,
-        Rule::U1,
-        Rule::O1,
-        Rule::E1,
-        Rule::P1,
-        Rule::P3,
-        Rule::A1,
-        Rule::S1,
-    ];
+    pub const ALL: [Rule; 6] = [Rule::D4, Rule::U1, Rule::O1, Rule::P1, Rule::P3, Rule::S1];
 
     /// The short id used in reports and suppression comments.
     pub fn id(self) -> &'static str {
         match self {
-            Rule::D1 => "D1",
-            Rule::D2 => "D2",
             Rule::D4 => "D4",
-            Rule::D5 => "D5",
             Rule::U1 => "U1",
             Rule::O1 => "O1",
-            Rule::E1 => "E1",
             Rule::P1 => "P1",
             Rule::P3 => "P3",
-            Rule::A1 => "A1",
             Rule::S1 => "S1",
         }
     }
@@ -148,25 +125,6 @@ impl Rule {
     /// what the rule catches, where it applies, and how to fix findings.
     pub fn explain(self) -> &'static str {
         match self {
-            Rule::D1 => {
-                "D1 — default-hasher containers in sim code.\n\n\
-                 std's HashMap/HashSet seed their hasher from process entropy \
-                 (RandomState), so iteration order differs between runs even with a \
-                 fixed sim seed; any logic that observes that order is silently \
-                 nondeterministic. Naming RandomState itself is flagged too.\n\n\
-                 Scope: sim code. A line naming with_hasher/BuildHasher is taken to \
-                 seed its hasher explicitly.\n\n\
-                 Fix: use BTreeMap/BTreeSet, or a HashMap with an explicitly seeded \
-                 hasher if O(log n) is too slow."
-            }
-            Rule::D2 => {
-                "D2 — wall-clock reads outside bench.\n\n\
-                 Instant/SystemTime tie sim behavior to host timing. Simulated time \
-                 must come only from the event clock.\n\n\
-                 Scope: everywhere but crates/bench.\n\n\
-                 Fix: pass the sim clock in; only harness code may time things, and \
-                 says so with an allow."
-            }
             Rule::D4 => {
                 "D4 — lossy float→integer casts.\n\n\
                  `as u64` on a float-valued time/byte expression truncates, and the \
@@ -177,13 +135,6 @@ impl Rule {
                  Scope: sim code, except units.rs (the audited conversion helpers).\n\n\
                  Fix: route conversions through BitRate::from_bps_f64 / \
                  Nanos::from_ns_f64, or carry an allow with the reason."
-            }
-            Rule::D5 => {
-                "D5 — .unwrap() / .expect(\"\") in sim code.\n\n\
-                 .unwrap() hides which invariant was violated when it fires; an \
-                 empty expect message documents nothing.\n\n\
-                 Scope: sim code, tests included.\n\n\
-                 Fix: return a typed error, or .expect(\"why this cannot fail\")."
             }
             Rule::U1 => {
                 "U1 — unit-mixing arithmetic.\n\n\
@@ -204,20 +155,12 @@ impl Rule {
                  Fix: saturating_*/checked_*, or an allow naming the bound that \
                  makes overflow impossible."
             }
-            Rule::E1 => {
-                "E1 — wildcard arms over workspace protocol enums.\n\n\
-                 An unguarded `_` arm compiles on, silently mishandling variants \
-                 added later to workspace-owned enums (events, scheduler kinds, CC \
-                 algorithms).\n\n\
-                 Scope: sim code outside #[cfg(test)].\n\n\
-                 Fix: enumerate the variants; the compiler then flags new ones."
-            }
             Rule::P1 => {
                 "P1 — shared mutable global state.\n\n\
-                 A `static mut`, a static Cell/RefCell/Mutex/OnceLock/atomic, or \
-                 thread_local! state is run-to-run state outside the simulation \
-                 context: it survives between runs in one process and makes results \
-                 depend on which thread ran what.\n\n\
+                 A `static mut` or a static Cell/RefCell/Mutex/OnceLock/atomic is \
+                 run-to-run state outside the simulation context: it survives \
+                 between runs in one process and makes results depend on which \
+                 thread ran what. (thread_local! is clippy's disallowed_macros.)\n\n\
                  Scope: every such static declared in sim code, and any declared \
                  elsewhere that the engine hot paths (run*/step, scheduler push/pop, \
                  port enqueue/dequeue) reach; findings carry the witness call \
@@ -238,24 +181,6 @@ impl Rule {
                  streams are distributors and exempt from subsystem context.\n\n\
                  Fix: accept a DetRng handle from the caller, and name streams via \
                  the *_STREAM constants instead of raw numbers."
-            }
-            Rule::A1 => {
-                "A1 — heap allocation on the engine hot path.\n\n\
-                 Fat-tree runs dispatch millions of events, and per-event boxing, \
-                 transient Vecs and clones were measured overtaking algorithmic \
-                 order. A1 walks the call graph forward from the hot roots \
-                 (run/run_with/run_watched, step, handle, scheduler push/pop, port \
-                 enqueue/dequeue) and reports Box::new, Vec construction and pushes \
-                 without a capacity reservation in the same function, \
-                 String/format! allocation, and .clone() of heap-owning types, \
-                 each with the witness chain from the root.\n\n\
-                 Scope: sim non-test code. Constructor-named callees \
-                 (new/build*/with_*/from_*/setup*/init*/default) end the walk — \
-                 amortized setup — and in once-per-run roots only allocations \
-                 inside loops fire.\n\n\
-                 Fix: allocate from a pool/slab (netsim::PacketPool), pre-size with \
-                 with_capacity/reserve, inline payloads, or carry an allow stating \
-                 why the growth is amortized."
             }
             Rule::S1 => {
                 "S1 — dead allow comments.\n\n\
@@ -338,34 +263,32 @@ impl fmt::Display for Finding {
 pub enum Scope {
     /// Full rule set: the deterministic simulation stack.
     Sim,
-    /// Support code (minijson, workloads, metrics, fluid, simlint): D2,
-    /// plus P1 for statics the engine hot paths reach.
+    /// Support code (minijson, workloads, metrics, fluid, bench,
+    /// simlint): P1 for statics the engine hot paths reach.
     Support,
-    /// The figure harness: as `Support`, but it may read the wall clock.
-    Bench,
 }
 
 /// Classify a workspace-relative path into a rule scope.
 ///
 /// Anything not recognizably inside a support crate — including the root
 /// package's `src/`, `tests/`, and `examples/`, and out-of-tree files such
-/// as the benchmark and the self-test fixtures — gets the full sim rule
-/// set.
+/// as the self-test fixtures — gets the full sim rule set.
 pub fn scope_of(path: &str) -> Scope {
     let norm = path.replace('\\', "/");
     if let Some(rest) = norm.split("crates/").nth(1) {
         let krate = rest.split('/').next().unwrap_or("");
         return match krate {
-            "bench" => Scope::Bench,
-            "minijson" | "workloads" | "metrics" | "fluid" | "simlint" => Scope::Support,
+            "minijson" | "workloads" | "metrics" | "fluid" | "bench" | "simlint" => Scope::Support,
             _ => Scope::Sim,
         };
     }
     Scope::Sim
 }
 
-/// Directories never descended into during a tree walk.
-const SKIP_DIRS: [&str; 4] = ["target", ".git", "fixtures", "node_modules"];
+/// Directories never descended into during a tree walk. `benchmark` is
+/// the timing harness, a package of its own that `cargo clippy
+/// --workspace` does not cover either.
+const SKIP_DIRS: [&str; 5] = ["target", ".git", "fixtures", "node_modules", "benchmark"];
 
 /// Recursively collect the `.rs` files under `root`, sorted for
 /// deterministic report order.
@@ -423,7 +346,7 @@ impl AllowSite {
     }
 }
 
-/// The ids listed by every `simlint: allow(D1, D4)` directive in a
+/// The ids listed by every `simlint: allow(U1, D4)` directive in a
 /// comment, as written.
 fn allow_ids(comment: &str) -> Vec<&str> {
     let mut out = Vec::new();
@@ -519,8 +442,8 @@ pub fn analyze_files(files: &[(String, String)]) -> Analysis {
     }
     let symbols = sym::Symbols::build(parsed.iter().map(|(f, _)| f));
 
-    // Per-file checks: token rules and semantic rules, collecting the
-    // call-graph facts the interprocedural pass consumes.
+    // Per-file checks: the token rule and the semantic rules, collecting
+    // the call-graph facts the interprocedural pass consumes.
     let mut raws: Vec<Vec<Finding>> = Vec::with_capacity(parsed.len());
     let mut facts: Vec<callgraph::FileFacts> = Vec::with_capacity(parsed.len());
     for (file, lexed) in &parsed {
@@ -532,13 +455,9 @@ pub fn analyze_files(files: &[(String, String)]) -> Analysis {
     }
 
     // Interprocedural pass over the workspace call graph. Runs before
-    // suppression so P/A findings can be allowed and S1 accounts for them.
+    // suppression so P findings can be allowed and S1 accounts for them.
     let graph = callgraph::CallGraph::build(facts);
-    let roots = graph.hot_roots();
-    for f in flow::check(&graph, &roots)
-        .into_iter()
-        .chain(cost::check(&graph, &roots))
-    {
+    for f in flow::check(&graph) {
         if let Some(i) = parsed.iter().position(|(file, _)| file.path == f.path) {
             raws[i].push(f);
         }
@@ -616,7 +535,7 @@ mod tests {
             "// simlint: allow(D4) — bounded count\nfn f(x: f64) { let k = x.ceil() as usize; }\n";
         assert!(rules_in("crates/fairsim/src/a.rs", above).is_empty());
         // The wrong rule id does not suppress (and is itself stale).
-        let wrong = "fn f(x: f64) { let k = x.ceil() as usize; } // simlint: allow(D1)\n";
+        let wrong = "fn f(x: f64) { let k = x.ceil() as usize; } // simlint: allow(U1)\n";
         assert_eq!(
             rules_in("crates/fairsim/src/a.rs", wrong),
             vec![Rule::D4, Rule::S1]
@@ -631,13 +550,19 @@ mod tests {
 
     #[test]
     fn suppression_lists_multiple_rules() {
-        let src = "fn f() { let m = HashMap::new(); let v = m.get(&k).unwrap(); } // simlint: allow(D1, D5)\n";
+        let src =
+            "fn f(x: f64, t: Nanos) -> Nanos { t + x.ceil() as u64 } // simlint: allow(D4, U1)\n";
         assert!(rules_in("crates/dcsim/src/a.rs", src).is_empty());
+        let bare = "fn f(x: f64, t: Nanos) -> Nanos { t + x.ceil() as u64 }\n";
+        assert_eq!(
+            rules_in("crates/dcsim/src/a.rs", bare),
+            vec![Rule::D4, Rule::U1]
+        );
     }
 
     #[test]
     fn unknown_allow_ids_are_reported_even_beside_a_used_one() {
-        let src = "fn f(q: Q) -> u32 { q.front().unwrap() } // simlint: allow(D5, D55)\n";
+        let src = "fn f(x: f64) -> u64 { x.ceil() as u64 } // simlint: allow(D4, D55)\n";
         let f = findings_in("crates/dcsim/src/a.rs", src);
         assert_eq!(f.len(), 1, "{f:?}");
         assert_eq!(f[0].rule, Rule::S1);
@@ -650,16 +575,19 @@ mod tests {
 
     #[test]
     fn doc_comment_allows_are_documentation() {
-        let src = "/// e.g. `// simlint: allow(D5)`\nfn f() {}\n";
+        let src = "/// e.g. `// simlint: allow(D4)`\nfn f() {}\n";
         assert!(rules_in("crates/dcsim/src/a.rs", src).is_empty());
     }
 
     #[test]
     fn finding_display_format() {
-        let f = findings_in("crates/dcsim/src/a.rs", "fn f() { let v = x.unwrap(); }\n");
+        let f = findings_in(
+            "crates/dcsim/src/a.rs",
+            "fn f(x: f64) -> u64 { x.ceil() as u64 }\n",
+        );
         let line = format!("{}", f[0]);
         assert!(
-            line.starts_with("crates/dcsim/src/a.rs:1: error[D5]:"),
+            line.starts_with("crates/dcsim/src/a.rs:1: error[D4]:"),
             "{line}"
         );
     }
@@ -678,11 +606,27 @@ mod tests {
     fn scope_classification() {
         assert_eq!(scope_of("crates/dcsim/src/engine.rs"), Scope::Sim);
         assert_eq!(scope_of("crates/cc-hpcc/src/lib.rs"), Scope::Sim);
-        assert_eq!(scope_of("crates/bench/src/lib.rs"), Scope::Bench);
+        assert_eq!(scope_of("crates/bench/src/lib.rs"), Scope::Support);
         assert_eq!(scope_of("crates/minijson/src/lib.rs"), Scope::Support);
         assert_eq!(scope_of("crates/simlint/src/lib.rs"), Scope::Support);
         assert_eq!(scope_of("tests/determinism.rs"), Scope::Sim);
         assert_eq!(scope_of("examples/quickstart.rs"), Scope::Sim);
-        assert_eq!(scope_of("benchmark/src/clock.rs"), Scope::Sim);
+    }
+
+    #[test]
+    fn tree_walk_never_enters_the_benchmark() {
+        let root = std::env::temp_dir().join(format!("simlint-walk-{}", std::process::id()));
+        let lossy = "fn f(x: f64) -> u64 { x.ceil() as u64 }\n";
+        for dir in ["benchmark/src", "crates/dcsim/src"] {
+            fs::create_dir_all(root.join(dir)).expect("temp dir is writable");
+        }
+        fs::write(root.join("benchmark/src/clock.rs"), lossy).expect("write");
+        fs::write(root.join("crates/dcsim/src/a.rs"), lossy).expect("write");
+        let a = analyze_tree(&root);
+        fs::remove_dir_all(&root).expect("temp dir removable");
+        let a = a.expect("tree scans");
+        assert_eq!(a.scanned, 1);
+        let paths: Vec<&str> = a.findings.iter().map(|f| f.path.as_str()).collect();
+        assert_eq!(paths, vec!["crates/dcsim/src/a.rs"]);
     }
 }

@@ -1,6 +1,6 @@
 //! `cargo run -p simlint [-- <flags>] [ROOT]` — walk a source tree and
-//! report determinism, unit-safety, overflow, exhaustiveness, shared-state
-//! and hot-path-cost rule violations.
+//! report lossy-cast, unit-safety, overflow, shared-state and RNG-stream
+//! rule violations.
 //!
 //! Exit codes:
 //!   0  clean (no findings after suppression)

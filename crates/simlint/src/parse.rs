@@ -372,7 +372,7 @@ impl<'a> Parser<'a> {
                 continue;
             }
             if self.is_kw("extern")
-                && matches!(self.nth(1).map(|t| &t.kind), Some(TokKind::Str(_)))
+                && matches!(self.nth(1).map(|t| &t.kind), Some(TokKind::Str))
                 && self.nth(2).and_then(|t| t.ident()) == Some("fn")
             {
                 self.pos += 2;
@@ -475,7 +475,7 @@ impl<'a> Parser<'a> {
             }
             Some("extern") => {
                 self.pos += 1;
-                if matches!(self.peek().map(|t| &t.kind), Some(TokKind::Str(_))) {
+                if matches!(self.peek().map(|t| &t.kind), Some(TokKind::Str)) {
                     self.pos += 1;
                 }
                 if self.at_open('{') {
@@ -856,7 +856,7 @@ impl<'a> Parser<'a> {
                         self.skip_balanced(); // const-generic expression
                     } else if matches!(
                         self.peek().map(|t| &t.kind),
-                        Some(TokKind::Int(_) | TokKind::Char | TokKind::Str(_))
+                        Some(TokKind::Int(_) | TokKind::Char | TokKind::Str)
                     ) {
                         self.pos += 1; // const-generic literal
                     } else if self.peek().and_then(|t| t.ident()).is_some()
@@ -919,7 +919,7 @@ impl<'a> Parser<'a> {
         }
         if self.is_kw("_") {
             self.pos += 1;
-            return Pat::Wild;
+            return Pat::Other;
         }
         if self.eat_kw("box") {
             return self.parse_pat();
@@ -932,7 +932,7 @@ impl<'a> Parser<'a> {
                 Some(TokKind::Int(_) | TokKind::Float(_) | TokKind::Char)
             ) {
                 self.pos += 1;
-                return Pat::Lit;
+                return Pat::Other;
             }
             return Pat::Other;
         }
@@ -940,7 +940,7 @@ impl<'a> Parser<'a> {
         if self.at_op("-")
             || matches!(
                 self.peek().map(|t| &t.kind),
-                Some(TokKind::Int(_) | TokKind::Float(_) | TokKind::Str(_) | TokKind::Char)
+                Some(TokKind::Int(_) | TokKind::Float(_) | TokKind::Str | TokKind::Char)
             )
         {
             self.eat_op("-");
@@ -954,7 +954,7 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                 }
             }
-            return Pat::Lit;
+            return Pat::Other;
         }
         if self.at_open('(') {
             self.pos += 1;
@@ -1003,7 +1003,7 @@ impl<'a> Parser<'a> {
             ) {
                 self.pos += 1;
             }
-            return Pat::Lit;
+            return Pat::Other;
         }
         if self.at_open('(') {
             self.pos += 1;
@@ -1019,7 +1019,7 @@ impl<'a> Parser<'a> {
         }
         if self.at_open('{') {
             self.skip_balanced();
-            return Pat::Struct { path: segs };
+            return Pat::Other;
         }
         Pat::Path(segs)
     }
@@ -1448,10 +1448,9 @@ impl<'a> Parser<'a> {
                 self.pos += 1;
                 mk(ExprKind::Lit(Lit::Float), span)
             }
-            TokKind::Str(ne) => {
-                let ne = *ne;
+            TokKind::Str => {
                 self.pos += 1;
-                mk(ExprKind::Lit(Lit::Str(ne)), span)
+                mk(ExprKind::Lit(Lit::Str), span)
             }
             TokKind::Char => {
                 self.pos += 1;
@@ -1695,7 +1694,6 @@ impl<'a> Parser<'a> {
                     break;
                 }
                 self.parse_attrs();
-                let pat_line = self.line_here();
                 let before = self.pos;
                 let pat = self.parse_pat_or();
                 let guard = if self.eat_kw("if") {
@@ -1732,12 +1730,7 @@ impl<'a> Parser<'a> {
                 }
                 let body = self.parse_expr(0, false);
                 self.eat_op(",");
-                arms.push(Arm {
-                    pat,
-                    guard,
-                    body,
-                    line: pat_line,
-                });
+                arms.push(Arm { pat, guard, body });
             }
         }
         Expr {
@@ -1783,10 +1776,9 @@ impl<'a> Parser<'a> {
             )
         {
             self.pos += 1;
-            let name = segs.last().cloned().unwrap_or_default();
             let args = self.parse_macro_args();
             return Expr {
-                kind: ExprKind::MacroCall { name, args },
+                kind: ExprKind::MacroCall { args },
                 span: span.to(self.prev_span()),
                 line,
             };
@@ -2001,7 +1993,7 @@ mod tests {
         assert_eq!(arms.len(), 3);
         assert!(matches!(&arms[0].pat, Pat::Path(p) if p == &["Kind", "A"]));
         assert!(matches!(&arms[1].pat, Pat::TupleStruct { path, .. } if path == &["Kind", "B"]));
-        assert!(matches!(arms[2].pat, Pat::Wild));
+        assert!(matches!(arms[2].pat, Pat::Other));
     }
 
     #[test]
@@ -2058,10 +2050,9 @@ mod tests {
         let Stmt::Expr(e) = &body.stmts[1] else {
             panic!()
         };
-        let ExprKind::MacroCall { name, args } = &e.kind else {
+        let ExprKind::MacroCall { args } = &e.kind else {
             panic!("macro: {e:?}")
         };
-        assert_eq!(name, "assert");
         assert!(args.len() >= 2, "{args:?}");
         assert!(matches!(
             args[0].kind,

@@ -1,5 +1,5 @@
-//! Semantic rule checkers: U1 (unit safety), O1 (overflow policy) and
-//! E1 (exhaustiveness), plus the per-function facts the graph rules use.
+//! Semantic rule checkers: U1 (unit safety) and O1 (overflow policy),
+//! plus the per-function facts the graph rules use.
 //!
 //! [`check_file`] walks one parsed file with a scoped type environment
 //! (see [`crate::infer`]) and the workspace symbol table, emitting raw
@@ -10,10 +10,8 @@
 //! the walker cannot prove degrades to `Ty::Unknown`, which no rule
 //! matches, so incomplete inference produces silence, never noise.
 
-use crate::ast::{Arm, BinOp, Block, Expr, ExprKind, File, FnItem, Item, Lit, Pat, Stmt, TypeRef};
-use crate::callgraph::{
-    AllocKind, AllocSite, CallRef, FileFacts, FnFacts, FnKey, StaticItem, StreamArg,
-};
+use crate::ast::{BinOp, Block, Expr, ExprKind, File, FnItem, Item, Lit, Pat, Stmt, TypeRef};
+use crate::callgraph::{CallRef, FileFacts, FnFacts, FnKey, StaticItem, StreamArg};
 use crate::infer::{elem_of, method_ret, named_of, Env, Ty};
 use crate::lex::{Lexed, Span};
 use crate::sym::{Symbols, UnitKind};
@@ -41,8 +39,6 @@ pub fn check_file(file: &File, lexed: &Lexed, sym: &Symbols) -> (Vec<Finding>, F
         o1_zone: norm.contains("dcsim/") || norm.contains("netsim/"),
         facts: FileFacts::default(),
         fn_stack: Vec::new(),
-        loop_depth: 0,
-        vec_decls: Vec::new(),
     };
     chk.bind_consts(&file.items);
     chk.walk_items(&file.items, None, false);
@@ -63,12 +59,6 @@ struct Checker<'a> {
     facts: FileFacts,
     /// Indices into `facts.fns` of the enclosing (possibly nested) fns.
     fn_stack: Vec<usize>,
-    /// How many loop bodies enclose the current expression (A1 escalates
-    /// allocation sites inside loops).
-    loop_depth: usize,
-    /// Bindings of the enclosing fns declared as `let xs = Vec::new()`:
-    /// a `.push` on one grows a `Vec` even when inference lost its type.
-    vec_decls: Vec<String>,
 }
 
 impl<'a> Checker<'a> {
@@ -88,11 +78,6 @@ impl<'a> Checker<'a> {
     /// (that is where the unit impls themselves live).
     fn o1_all(&self) -> bool {
         self.unit_def_file
-    }
-
-    /// E1 applies in sim code outside tests.
-    fn e1_on(&self) -> bool {
-        self.sim && !self.in_test
     }
 
     // ----- helpers --------------------------------------------------------
@@ -187,7 +172,6 @@ impl<'a> Checker<'a> {
         });
         let Some(body) = &f.body else { return };
         self.fn_stack.push(fact_idx);
-        let vec_mark = self.vec_decls.len();
         let saved = self.in_test;
         self.in_test = in_test || f.cfg_test;
         self.env.push();
@@ -203,7 +187,6 @@ impl<'a> Checker<'a> {
         self.block_ty(body);
         self.env.pop();
         self.in_test = saved;
-        self.vec_decls.truncate(vec_mark);
         self.fn_stack.pop();
     }
 
@@ -215,38 +198,11 @@ impl<'a> Checker<'a> {
         self.facts.fns.get_mut(i)
     }
 
-    /// The simple binding name a method receiver refers to, looking
-    /// through `&`/parens.
-    fn binding_of(e: &Expr) -> Option<&str> {
-        match &e.kind {
-            ExprKind::Path(segs) if segs.len() == 1 => Some(&segs[0]),
-            ExprKind::Unary(inner) | ExprKind::Paren(inner) => Self::binding_of(inner),
-            _ => None,
-        }
-    }
-
-    /// Record a heap-allocation site for the A1 hot-path pass. Loop
-    /// context is captured here because only the local walk knows it.
-    fn note_alloc(&mut self, kind: AllocKind, what: String, e: &Expr) {
-        let site = AllocSite {
-            line: e.line,
-            kind,
-            what,
-            in_loop: self.loop_depth > 0,
-        };
-        if let Some(f) = self.fact() {
-            f.alloc_sites.push(site);
-        }
-    }
-
     /// Record everything the interprocedural pass wants to know about a
-    /// method call: the call edge, `.stream(..)` discipline facts, and the
-    /// A1 raw material (reservations, growth pushes, string and clone
-    /// allocations). Loop context is captured in each site.
-    fn note_method_call(&mut self, recv: &Expr, name: &str, args: &[Expr], rt: &Ty, e: &Expr) {
-        let recv_name = named_of(rt);
+    /// method call: the call edge and `.stream(..)` discipline facts.
+    fn note_method_call(&mut self, name: &str, args: &[Expr], rt: &Ty, e: &Expr) {
         let call = CallRef {
-            owner: recv_name.map(|s| s.to_string()),
+            owner: named_of(rt).map(|s| s.to_string()),
             name: name.to_string(),
             via_method: true,
             line: e.line,
@@ -272,50 +228,10 @@ impl<'a> Checker<'a> {
                 f.stream_calls.push((arg, line));
             }
         }
-
-        if matches!(name, "reserve" | "reserve_exact") {
-            if let Some(f) = self.fact() {
-                f.reserves = true;
-            }
-        }
-        let is_growth_push = matches!(name, "push" | "push_back" | "push_front")
-            && (matches!(recv_name, Some("Vec" | "VecDeque"))
-                || Self::binding_of(recv).is_some_and(|b| self.vec_decls.iter().any(|n| n == b)));
-        if is_growth_push {
-            self.note_alloc(
-                AllocKind::VecPush,
-                format!("`.{name}` growing an unreserved buffer"),
-                e,
-            );
-        }
-        if matches!(name, "to_string" | "to_owned") {
-            self.note_alloc(
-                AllocKind::StringAlloc,
-                format!("`.{name}()` string allocation"),
-                e,
-            );
-        }
-        if name == "clone" && args.is_empty() {
-            let heapy = match recv_name {
-                Some(
-                    n @ ("Vec" | "VecDeque" | "String" | "Box" | "Rc" | "Arc" | "BTreeMap"
-                    | "BTreeSet" | "HashMap" | "HashSet" | "BinaryHeap"),
-                ) => Some(n),
-                Some(n) if self.sym.owns_heap(n) => Some(n),
-                _ => None,
-            };
-            if let Some(n) = heapy {
-                self.note_alloc(
-                    AllocKind::CloneHeap,
-                    format!("`.clone()` of heap-owning `{n}`"),
-                    e,
-                );
-            }
-        }
     }
 
     /// Record free / qualified-path calls (`helper(..)`, `DetRng::new(..)`)
-    /// as call edges, RNG-construction sites and A1 allocation sites.
+    /// as call edges and RNG-construction sites.
     fn note_path_call(&mut self, callee: &Expr, e: &Expr) {
         let ExprKind::Path(segs) = &callee.kind else {
             return;
@@ -330,27 +246,6 @@ impl<'a> Checker<'a> {
             return;
         }
         let owner = (segs.len() >= 2).then(|| segs[segs.len() - 2].clone());
-        match (owner.as_deref(), last.as_str()) {
-            (Some("Box"), "new") => {
-                self.note_alloc(AllocKind::BoxNew, "`Box::new` heap allocation".into(), e)
-            }
-            (Some("Vec" | "VecDeque"), "new") => self.note_alloc(
-                AllocKind::VecGrowth,
-                format!("`{}::new` unreserved buffer", segs[segs.len() - 2]),
-                e,
-            ),
-            (Some("String"), "new" | "from") => self.note_alloc(
-                AllocKind::StringAlloc,
-                format!("`String::{last}` allocation"),
-                e,
-            ),
-            (_, "with_capacity") => {
-                if let Some(f) = self.fact() {
-                    f.reserves = true;
-                }
-            }
-            _ => {}
-        }
         let is_rng_new = owner.as_deref() == Some("DetRng") && last == "new";
         let call = CallRef {
             owner,
@@ -436,21 +331,6 @@ impl<'a> Checker<'a> {
             match stmt {
                 Stmt::Let { pat, ty, init } => {
                     let ity = init.as_ref().map(|e| self.expr_ty(e));
-                    // Remember `let xs = Vec::new()` so a later `xs.push(..)`
-                    // counts as Vec growth whatever inference made of `xs`.
-                    if let (Some(init), Some(binding)) = (init.as_ref(), pat.as_binding()) {
-                        if let ExprKind::Call { callee, .. } = &init.kind {
-                            if let ExprKind::Path(segs) = &callee.kind {
-                                if segs.len() >= 2
-                                    && segs[segs.len() - 2] == "Vec"
-                                    && segs[segs.len() - 1] == "new"
-                                    && !self.fn_stack.is_empty()
-                                {
-                                    self.vec_decls.push(binding.to_string());
-                                }
-                            }
-                        }
-                    }
                     let t = ty
                         .as_ref()
                         .map(Ty::from_typeref)
@@ -521,7 +401,7 @@ impl<'a> Checker<'a> {
             ExprKind::MethodCall { recv, name, args } => {
                 let rt = self.expr_ty(recv);
                 let ats: Vec<Ty> = args.iter().map(|a| self.expr_ty(a)).collect();
-                self.note_method_call(recv, name, args, &rt, e);
+                self.note_method_call(name, args, &rt, e);
                 method_ret(self.sym, &rt, name, &ats)
             }
             ExprKind::Field { recv, name } => self.field_ty(recv, name),
@@ -556,7 +436,6 @@ impl<'a> Checker<'a> {
             }
             ExprKind::Match { scrutinee, arms } => {
                 let st = self.expr_ty(scrutinee);
-                self.check_match(&st, arms);
                 for arm in arms {
                     self.env.push();
                     self.bind_pat(&arm.pat, &st);
@@ -570,7 +449,6 @@ impl<'a> Checker<'a> {
             }
             ExprKind::Loop { pat, head, body } => {
                 let ht = head.as_ref().map(|h| self.expr_ty(h));
-                self.loop_depth += 1;
                 self.env.push();
                 if let (Some(p), Some(h)) = (pat, &ht) {
                     let elem = elem_of(h);
@@ -578,7 +456,6 @@ impl<'a> Checker<'a> {
                 }
                 self.block_ty(body);
                 self.env.pop();
-                self.loop_depth -= 1;
                 Ty::Unknown
             }
             ExprKind::Closure { params, body } => {
@@ -611,20 +488,7 @@ impl<'a> Checker<'a> {
                     None => Ty::Unknown,
                 }
             }
-            ExprKind::MacroCall { name, args } => {
-                match name.as_str() {
-                    "vec" => self.note_alloc(
-                        AllocKind::VecGrowth,
-                        "`vec![..]` heap allocation".into(),
-                        e,
-                    ),
-                    "format" => self.note_alloc(
-                        AllocKind::StringAlloc,
-                        "`format!` string allocation".into(),
-                        e,
-                    ),
-                    _ => {}
-                }
+            ExprKind::MacroCall { args } => {
                 for a in args {
                     self.expr_ty(a);
                 }
@@ -899,83 +763,6 @@ impl<'a> Checker<'a> {
             _ => Ty::Unknown,
         }
     }
-
-    /// E1: unguarded `_` arm in a match over a workspace enum.
-    fn check_match(&mut self, st: &Ty, arms: &[Arm]) {
-        if !self.e1_on() {
-            return;
-        }
-        let mut target: Option<String> = None;
-        if let Some(n) = named_of(st) {
-            if self.sym.enums.contains_key(n) {
-                target = Some(n.to_string());
-            }
-        }
-        if target.is_none() {
-            for arm in arms {
-                if let Some(en) = self.variant_enum(&arm.pat) {
-                    target = Some(en);
-                    break;
-                }
-            }
-        }
-        let Some(en) = target else { return };
-        let Some(info) = self.sym.enums.get(&en) else {
-            return;
-        };
-        if info.cfg_test {
-            return;
-        }
-        let variants = info.variants.join(", ");
-        for arm in arms {
-            if matches!(arm.pat, Pat::Wild) && arm.guard.is_none() {
-                // Arms carry only a line; synthesize a span at column 1.
-                let start = self.lexed.line_start(arm.line);
-                self.push(
-                    Rule::E1,
-                    Span {
-                        lo: start,
-                        hi: start,
-                    },
-                    format!(
-                        "wildcard `_` arm in a match over workspace enum `{en}` \
-                         silently swallows future variants; enumerate them \
-                         explicitly ({variants})"
-                    ),
-                );
-            }
-        }
-    }
-
-    /// The workspace enum a pattern's variant reference resolves to.
-    fn variant_enum(&self, pat: &Pat) -> Option<String> {
-        let from_path = |segs: &[String]| -> Option<String> {
-            if segs.len() >= 2 {
-                let t = &segs[segs.len() - 2];
-                let last = &segs[segs.len() - 1];
-                if self
-                    .sym
-                    .enums
-                    .get(t)
-                    .is_some_and(|i| i.variants.iter().any(|v| v == last))
-                {
-                    return Some(t.clone());
-                }
-                None
-            } else if segs.len() == 1 && segs[0].chars().next().is_some_and(|c| c.is_uppercase()) {
-                self.sym.enum_of_variant(&segs[0]).map(|s| s.to_string())
-            } else {
-                None
-            }
-        };
-        match pat {
-            Pat::Path(segs) => from_path(segs),
-            Pat::TupleStruct { path, .. } => from_path(path),
-            Pat::Struct { path } => from_path(path),
-            Pat::Or(ps) | Pat::Tuple(ps) => ps.iter().find_map(|p| self.variant_enum(p)),
-            _ => None,
-        }
-    }
 }
 
 // ----- free helpers for fact collection -----------------------------------
@@ -1116,33 +903,6 @@ impl Add for Nanos { fn add(self, rhs: Nanos) -> Nanos { Nanos(self.0 + rhs.0) }
             "fn f(t: Nanos, d: u64) -> u64 { t.as_u64() + d }\n",
         );
         assert!(f.iter().all(|x| x.rule != Rule::O1), "{f:?}");
-    }
-
-    #[test]
-    fn e1_flags_wildcard_over_workspace_enum() {
-        let f = check(
-            "crates/dcsim/src/engine.rs",
-            "pub enum SchedulerKind { Heap, Wheel }\n\
-             fn f(k: SchedulerKind) -> u64 {\n\
-                 match k { SchedulerKind::Heap => 1, _ => 0 }\n\
-             }\n",
-        );
-        let e1: Vec<_> = f.iter().filter(|x| x.rule == Rule::E1).collect();
-        assert_eq!(e1.len(), 1, "{f:?}");
-        assert!(e1[0].message.contains("SchedulerKind"));
-    }
-
-    #[test]
-    fn e1_ignores_option_and_guarded_wildcards() {
-        let f = check(
-            "crates/dcsim/src/engine.rs",
-            "fn f(x: Option<u64>) -> u64 { match x { Some(v) => v, _ => 0 } }\n\
-             pub enum K { A, B }\n\
-             fn g(k: K, c: bool) -> u64 {\n\
-                 match k { K::A => 1, K::B => 2, _ if c => 3 }\n\
-             }\n",
-        );
-        assert!(f.iter().all(|x| x.rule != Rule::E1), "{f:?}");
     }
 
     #[test]

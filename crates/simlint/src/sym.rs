@@ -6,8 +6,8 @@
 //! - the **unit newtypes** (`Nanos`, `Bytes`, `BitRate`) and where they
 //!   are defined;
 //! - struct field types (so `pkt.size` resolves to `Bytes`);
-//! - enum variant lists (so a wildcard arm over `SchedulerKind` is
-//!   detectable, and `Variant::Sf` resolves to the `Variant` enum);
+//! - enum variant lists (so `Variant::Sf` resolves to the `Variant`
+//!   enum);
 //! - inherent methods and associated constants per type name, with
 //!   return types (so `rate.serialization_delay(b)` infers `Nanos`);
 //! - operator-trait impls (so `Nanos * 3` is known-legal because
@@ -163,50 +163,6 @@ impl Symbols {
             }
         }
         found
-    }
-
-    /// Whether a workspace struct (transitively) owns heap storage —
-    /// cloning it allocates. Drives the A1 `.clone()` check.
-    pub fn owns_heap(&self, name: &str) -> bool {
-        self.owns_heap_depth(name, 0)
-    }
-
-    fn owns_heap_depth(&self, name: &str, depth: usize) -> bool {
-        if depth > 4 {
-            return false;
-        }
-        let Some(info) = self.structs.get(name) else {
-            return false;
-        };
-        info.fields
-            .values()
-            .chain(info.tuple_fields.iter())
-            .any(|t| self.ty_owns_heap(t, depth))
-    }
-
-    fn ty_owns_heap(&self, ty: &TypeRef, depth: usize) -> bool {
-        match ty {
-            TypeRef::Path { segs, args } => {
-                let last = segs.last().map(String::as_str).unwrap_or("");
-                matches!(
-                    last,
-                    "Vec"
-                        | "String"
-                        | "VecDeque"
-                        | "BTreeMap"
-                        | "BTreeSet"
-                        | "HashMap"
-                        | "HashSet"
-                        | "BinaryHeap"
-                        | "Box"
-                        | "Rc"
-                        | "Arc"
-                ) || args.iter().any(|a| self.ty_owns_heap(a, depth + 1))
-                    || self.owns_heap_depth(last, depth + 1)
-            }
-            TypeRef::Tuple(ts) => ts.iter().any(|t| self.ty_owns_heap(t, depth + 1)),
-            TypeRef::Ref(_) | TypeRef::Unit | TypeRef::Other => false,
-        }
     }
 }
 

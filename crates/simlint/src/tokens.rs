@@ -1,10 +1,10 @@
-//! Token-level rules: D1, D2, D4, D5 and P1's `thread_local!` prong.
+//! The token-level rule: D4.
 //!
-//! These rules need spelling, not types, so they scan the token stream of
+//! D4 needs spelling, not types, so it scans the token stream of
 //! [`crate::lex`] directly: strings and comments are already out of the
-//! way, and a construct split across lines (`.unwrap` / `()`, a cast
-//! whose operand starts on an earlier line) is the same token sequence
-//! as on one line. Suppression is applied later by the pipeline.
+//! way, and a cast whose operand starts on an earlier line is the same
+//! token sequence as on one line. Suppression is applied later by the
+//! pipeline.
 
 use crate::lex::{Lexed, TokKind, Token};
 use crate::{scope_of, Finding, Rule, Scope};
@@ -92,7 +92,7 @@ fn operand_start(toks: &[Token], end: usize) -> usize {
             TokKind::Ident(_)
             | TokKind::Int(_)
             | TokKind::Float(_)
-            | TokKind::Str(_)
+            | TokKind::Str
             | TokKind::Char
                 if continues =>
             {
@@ -121,107 +121,32 @@ fn is_float_evidence(toks: &[Token], i: usize) -> bool {
     }
 }
 
-/// Run the token rules over one lexed file.
+/// Run D4 over one lexed file.
 pub fn check(path: &str, lexed: &Lexed) -> Vec<Finding> {
-    let scope = scope_of(path);
     let units_file = path.replace('\\', "/").rsplit('/').next() == Some("units.rs");
+    if scope_of(path) != Scope::Sim || units_file {
+        return Vec::new();
+    }
     let toks = &lexed.tokens;
-    let mut out: Vec<Finding> = Vec::new();
-    let mut push = |tok: &Token, rule: Rule, message: &str| {
-        out.push(Finding::at(
-            path,
-            lexed,
-            tok.span.lo,
-            rule,
-            message.to_string(),
-        ));
-    };
-
-    // Identifier-presence rules, judged line by line (one finding per
-    // line however often the name recurs on it).
-    for line in toks.chunk_by(|a, b| a.line == b.line) {
-        let find = |names: &[&str]| {
-            line.iter()
-                .find(|t| t.ident().is_some_and(|s| names.contains(&s)))
-        };
-        if scope == Scope::Sim {
-            let seeded = find(&["with_hasher", "BuildHasher"]).is_some();
-            let hit = find(&["RandomState"])
-                .or_else(|| find(&["HashMap", "HashSet"]).filter(|_| !seeded));
-            if let Some(t) = hit {
-                push(
-                    t,
-                    Rule::D1,
-                    "HashMap/HashSet with the default RandomState hasher iterates in \
-                     nondeterministic order; use BTreeMap/BTreeSet or a seeded hasher",
-                );
-            }
-            // `thread_local!` is a macro invocation the parser skips, so
-            // it is caught here; plain statics go through the call graph.
-            if let Some(t) = find(&["thread_local"]) {
-                push(
-                    t,
-                    Rule::P1,
-                    "thread_local! state lives outside the simulation context: every \
-                     thread gets its own copy, so results depend on which thread ran \
-                     what — thread the state through &mut instead",
-                );
-            }
-        }
-        if scope != Scope::Bench {
-            if let Some(t) = find(&["Instant", "SystemTime"]) {
-                push(
-                    t,
-                    Rule::D2,
-                    "wall-clock access (Instant/SystemTime) in simulation code; \
-                     simulated time comes from the engine clock, timing belongs in crates/bench",
-                );
-            }
+    let mut out = Vec::new();
+    for (i, t) in toks.iter().enumerate() {
+        let int_cast = t.ident() == Some("as")
+            && toks
+                .get(i + 1)
+                .and_then(Token::ident)
+                .is_some_and(|ty| INT_CAST_TARGETS.contains(&ty));
+        if int_cast && (operand_start(toks, i)..i).any(|k| is_float_evidence(toks, k)) {
+            out.push(Finding::at(
+                path,
+                lexed,
+                t.span.lo,
+                Rule::D4,
+                "lossy float→integer cast on a unit quantity; use the allowlisted \
+                 units.rs helpers (BitRate::from_bps_f64 / Nanos::from_ns_f64)"
+                    .to_string(),
+            ));
         }
     }
-
-    // Token-sequence rules, independent of line breaks.
-    if scope == Scope::Sim {
-        for (i, t) in toks.iter().enumerate() {
-            if is_method_call(toks, i, "unwrap") {
-                push(
-                    t,
-                    Rule::D5,
-                    ".unwrap() hides the invariant it relies on; use a typed error or \
-                     .expect(\"why this cannot fail\")",
-                );
-            }
-            if is_method_call(toks, i, "expect")
-                && matches!(toks.get(i + 2).map(|a| &a.kind), Some(TokKind::Str(false)))
-            {
-                push(
-                    t,
-                    Rule::D5,
-                    ".expect(\"\") documents nothing; state the invariant in the message",
-                );
-            }
-            let int_cast = t.ident() == Some("as")
-                && toks
-                    .get(i + 1)
-                    .and_then(Token::ident)
-                    .is_some_and(|ty| INT_CAST_TARGETS.contains(&ty));
-            if int_cast
-                && !units_file
-                && (operand_start(toks, i)..i).any(|k| is_float_evidence(toks, k))
-            {
-                push(
-                    t,
-                    Rule::D4,
-                    "lossy float→integer cast on a unit quantity; use the allowlisted \
-                     units.rs helpers (BitRate::from_bps_f64 / Nanos::from_ns_f64)",
-                );
-            }
-        }
-    }
-
-    // Two unwraps on a line are one thing to fix.
-    let mut seen = std::collections::BTreeSet::new();
-    out.retain(|f| seen.insert((f.line, f.rule, f.message.clone())));
     out
 }
 
@@ -246,54 +171,31 @@ mod tests {
 
     #[test]
     fn strings_and_comments_never_trip_rules() {
-        let src = "let x = \"HashMap Instant .unwrap()\"; // HashMap in comment\n\
-                   let y = r#\"thread_local HashSet\"#;\nlet z = b\"Instant\";\n";
+        let src = "let x = \"1.5 as u64\"; // 2.0 as u64 in a comment\n\
+                   let y = r#\"f64 as usize\"#;\nlet z = b\"0.5 as u8\";\n";
         assert!(rules_in("crates/dcsim/src/a.rs", src).is_empty());
     }
 
     #[test]
     fn multiline_strings_and_block_comments_keep_line_numbers() {
-        let src = "let s = \"line one\nline two\";\n/* block\n comment */\nlet m: HashMap<u32, u32> = HashMap::new();\n";
-        assert_eq!(findings("crates/netsim/src/a.rs", src), vec![(Rule::D1, 5)]);
+        let src = "let s = \"line one\nline two\";\n/* block\n comment */\nlet k = 2.5 as u64;\n";
+        assert_eq!(findings("crates/netsim/src/a.rs", src), vec![(Rule::D4, 5)]);
     }
 
     #[test]
     fn lifetimes_are_not_char_literals() {
         // A naive char-literal scanner would swallow from 'a to the next
-        // quote and hide the HashMap behind it.
-        let src = "fn f<'a>(x: &'a u32) {}\nlet m = HashMap::new();\n";
-        assert_eq!(findings("crates/dcsim/src/a.rs", src), vec![(Rule::D1, 2)]);
+        // quote and hide the cast behind it.
+        let src = "fn f<'a>(x: &'a u32) {}\nlet k = 2.5 as u64;\n";
+        assert_eq!(findings("crates/dcsim/src/a.rs", src), vec![(Rule::D4, 2)]);
     }
 
     #[test]
-    fn d1_seeded_hasher_is_allowed_but_randomstate_is_not() {
-        let src = "let m: HashMap<u32, u32, S> = HashMap::with_hasher(seeded);\n";
-        assert!(rules_in("crates/dcsim/src/a.rs", src).is_empty());
-        let src = "let m = HashMap::with_hasher(RandomState::new());\n";
-        assert_eq!(rules_in("crates/dcsim/src/a.rs", src), vec![Rule::D1]);
-    }
-
-    #[test]
-    fn d1_only_in_sim_scope() {
-        let src = "use std::collections::HashMap;\n";
-        assert_eq!(rules_in("crates/dcsim/src/a.rs", src), vec![Rule::D1]);
-        assert_eq!(rules_in("tests/foo.rs", src), vec![Rule::D1]);
-        assert!(rules_in("crates/minijson/src/lib.rs", src).is_empty());
-    }
-
-    #[test]
-    fn d2_everywhere_but_bench() {
-        let src = "let t0 = Instant::now();\n";
-        assert_eq!(rules_in("crates/dcsim/src/engine.rs", src), vec![Rule::D2]);
-        assert_eq!(rules_in("crates/workloads/src/lib.rs", src), vec![Rule::D2]);
-        assert!(rules_in("crates/bench/src/lib.rs", src).is_empty());
-    }
-
-    #[test]
-    fn d4_flags_float_casts_and_allows_units_rs() {
+    fn d4_flags_float_casts_in_sim_scope_and_allows_units_rs() {
         let src = "let r = BitRate::from_bps((x * 8.0 / secs).round() as u64);\n";
         assert_eq!(rules_in("crates/core/src/cc.rs", src), vec![Rule::D4]);
         assert!(rules_in("crates/dcsim/src/units.rs", src).is_empty());
+        assert!(rules_in("crates/metrics/src/lib.rs", src).is_empty());
         // Integer-only casts carry no float evidence; `t.0.1` is a tuple
         // index, not a float literal.
         let ok = "let slot = (t >> shift) as usize; let k = t.0.1 as u64;\n";
@@ -323,32 +225,5 @@ mod tests {
             findings(at, src),
             vec![(Rule::D4, 1), (Rule::D4, 2), (Rule::D4, 3), (Rule::D4, 4)]
         );
-    }
-
-    #[test]
-    fn d5_unwrap_flagged_expect_with_message_ok() {
-        let at = "crates/netsim/src/port.rs";
-        assert_eq!(rules_in(at, "let v = x.unwrap();\n"), vec![Rule::D5]);
-        assert_eq!(rules_in(at, "let v = x.expect(\"\");\n"), vec![Rule::D5]);
-        assert_eq!(
-            findings(at, "let v = x\n    .unwrap\n    ();\n"),
-            vec![(Rule::D5, 2)],
-            "a line break is not an evasion"
-        );
-        assert!(rules_in(at, "let v = x.expect(\"backlog checked above\");\n").is_empty());
-        // unwrap_or and friends are fine.
-        assert!(rules_in(at, "let v = x.unwrap_or(0); let w = y.unwrap_or_else(f);\n").is_empty());
-        assert_eq!(
-            findings(at, "let v = a.unwrap() + b.unwrap();\n").len(),
-            1,
-            "one finding per line"
-        );
-    }
-
-    #[test]
-    fn p1_thread_local_in_sim_scope_only() {
-        let src = "thread_local! { static S: Cell<u64> = Cell::new(0); }\n";
-        assert_eq!(rules_in("crates/netsim/src/a.rs", src), vec![Rule::P1]);
-        assert!(rules_in("crates/metrics/src/a.rs", src).is_empty());
     }
 }

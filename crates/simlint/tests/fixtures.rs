@@ -14,28 +14,10 @@ type Row = (&'static str, Rule, &'static [(usize, &'static str)]);
 
 const EXPECTED: &[Row] = &[
     (
-        "bad_d1_hashmap.rs",
-        Rule::D1,
-        // 2 uses + fn sig + 2 constructors; RandomState (ex-D3) by name.
-        &[(2, ""), (3, ""), (5, ""), (6, ""), (8, ""), (13, "")],
-    ),
-    // use + Instant::now + SystemTime::now
-    (
-        "bad_d2_wallclock.rs",
-        Rule::D2,
-        &[(2, ""), (5, ""), (6, "")],
-    ),
-    (
         "bad_d4_lossy_cast.rs",
         Rule::D4,
         // Line 13: `as u64` alone on its line, the float operand above it.
         &[(3, ""), (7, ""), (13, "")],
-    ),
-    (
-        "bad_d5_unwrap.rs",
-        Rule::D5,
-        // Line 10: `.unwrap` with its `()` on the next line.
-        &[(3, ".unwrap()"), (4, ".expect(\"\")"), (10, ".unwrap()")],
     ),
     (
         "bad_u1_mixed_arith.rs",
@@ -56,15 +38,13 @@ const EXPECTED: &[Row] = &[
             (17, "unchecked `+=`"),
         ],
     ),
-    ("bad_e1_wildcard.rs", Rule::E1, &[(13, "Stock, Vai, VaiSf")]),
     (
         "bad_p1_shared_static.rs",
         Rule::P1,
         &[
             (8, "`static mut`"),
             // The hot-path-reachable static carries a witness call chain.
-            (10, "run (bad_p1_shared_static.rs:16) → bump"),
-            (12, "thread_local!"),
+            (10, "run (bad_p1_shared_static.rs:12) → bump"),
         ],
     ),
     (
@@ -86,21 +66,11 @@ const EXPECTED: &[Row] = &[
         ],
     ),
     (
-        "bad_a1_hot_alloc.rs",
-        Rule::A1,
-        &[
-            (11, "hot chain: step (bad_a1_hot_alloc.rs:5) → deliver"),
-            (12, "`format!`"),
-            (16, "`Vec::new`"),
-            (18, "every iteration"),
-        ],
-    ),
-    (
         "bad_s1_stale_allow.rs",
         Rule::S1,
         &[
-            (6, "stale `simlint: allow(D5)`"),
-            (11, "`D6` is not a simlint rule"),
+            (6, "stale `simlint: allow(D4)`"),
+            (11, "`D1` is not a simlint rule"),
         ],
     ),
 ];

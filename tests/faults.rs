@@ -287,12 +287,10 @@ fn severed_fabric_stalls_with_offender_list() {
         u64::MAX,
         Nanos::from_millis(2),
     );
-    match outcome {
-        RunOutcome::Stalled { flows } => {
-            assert_eq!(flows.len(), 4, "all four flows are wedged: {flows:?}");
-        }
-        other => panic!("expected a stall, got {other}"),
-    }
+    let RunOutcome::Stalled { flows } = outcome else {
+        panic!("expected a stall, got {outcome}")
+    };
+    assert_eq!(flows.len(), 4, "all four flows are wedged: {flows:?}");
     assert!(
         sim.now() < Nanos::from_millis(20),
         "stall must be detected early, not at the horizon"

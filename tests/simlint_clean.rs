@@ -1,10 +1,13 @@
 //! Tier-1 gate: the workspace must stay clean under its own static
-//! analysis pass (`simlint --explain` lists the rules), every file must
-//! parse, and the linter itself must stay inside its size budget.
-//! Equivalent to `cargo run -p simlint` exiting 0, but enforced by
-//! `cargo test` so a violating change cannot land even when the CI lint
-//! job is skipped. The scan covers `crates/simlint` too, so this is also
-//! the analyzer's self-lint.
+//! analysis pass (`simlint --explain` lists its six rules: D4, U1, O1, P1,
+//! P3, S1), every file must parse, and the linter itself must stay inside
+//! its size budget. Equivalent to `cargo run -p simlint` exiting 0, but
+//! enforced by `cargo test` so a violating change cannot land even when
+//! the CI lint job is skipped. The scan covers `crates/simlint` too, so
+//! this is also the analyzer's self-lint. The determinism rules clippy
+//! ships (default hashers, wall clock, `.unwrap()`, wildcard arms,
+//! `thread_local!`) are CI's `cargo clippy` step, not this test; hot-path
+//! allocation is `tests/alloc_budget.rs`.
 
 use std::path::Path;
 
@@ -42,7 +45,7 @@ fn workspace_has_no_simlint_findings() {
 }
 
 /// DESIGN.md, "Static analysis & invariant audit" → "Size budget".
-const SIMLINT_SRC_LINE_BUDGET: usize = 8_200;
+const SIMLINT_SRC_LINE_BUDGET: usize = 6_900;
 
 #[test]
 fn simlint_stays_inside_its_size_budget() {
