@@ -87,7 +87,7 @@ pub struct Dcqcn {
     /// Iterations of the byte counter since the last CNP.
     b_iters: u32,
     /// Bytes sent since the last byte-counter event.
-    bytes_since: u64,
+    bytes_since: Bytes,
     /// Next α-decay deadline.
     alpha_due: Nanos,
     /// Next rate-increase deadline.
@@ -109,7 +109,7 @@ impl Dcqcn {
             alpha: 1.0,
             t_iters: 0,
             b_iters: 0,
-            bytes_since: 0,
+            bytes_since: Bytes::ZERO,
             cnp_since_alpha_tick: false,
         }
     }
@@ -164,15 +164,15 @@ impl CongestionControl for Dcqcn {
         self.alpha = (1.0 - self.cfg.g) * self.alpha + self.cfg.g;
         self.t_iters = 0;
         self.b_iters = 0;
-        self.bytes_since = 0;
+        self.bytes_since = Bytes::ZERO;
         self.cnp_since_alpha_tick = true;
         self.clamp();
     }
 
     fn on_send(&mut self, _now: Nanos, bytes: Bytes) {
-        self.bytes_since += bytes.as_u64();
-        if self.bytes_since >= self.cfg.byte_counter.as_u64() {
-            self.bytes_since -= self.cfg.byte_counter.as_u64();
+        self.bytes_since += bytes;
+        if self.bytes_since >= self.cfg.byte_counter {
+            self.bytes_since -= self.cfg.byte_counter;
             self.b_iters += 1;
             self.increase();
         }
@@ -206,7 +206,7 @@ impl CongestionControl for Dcqcn {
         self.alpha = 1.0;
         self.t_iters = 0;
         self.b_iters = 0;
-        self.bytes_since = 0;
+        self.bytes_since = Bytes::ZERO;
         self.clamp();
     }
 

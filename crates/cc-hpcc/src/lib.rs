@@ -210,7 +210,7 @@ impl Hpcc {
             for i in 0..n {
                 let (prev, cur): (&IntHop, &IntHop) = (&last.hops()[i], &int.hops()[i]);
                 let dt = cur.ts.saturating_sub(prev.ts).as_secs_f64();
-                if dt <= 0.0 || cur.rate.as_u64() == 0 {
+                if dt <= 0.0 || cur.rate == BitRate::ZERO {
                     continue;
                 }
                 let tx_rate = (cur.tx_bytes.saturating_sub(prev.tx_bytes)) as f64 / dt;
@@ -652,7 +652,7 @@ mod tests {
                     assert!(h.w_ref().is_finite(), "case {case}");
                     assert!(h.utilization().is_finite(), "case {case}");
                     let lim = h.limits();
-                    assert!(lim.pacing.as_u64() > 0, "case {case}");
+                    assert!(lim.pacing > BitRate::ZERO, "case {case}");
                 }
             }
         }

@@ -339,7 +339,7 @@ impl CongestionControl for Swift {
         }
 
         let sf_boundary = self.sf.as_mut().map(|sf| sf.on_ack()).unwrap_or(false);
-        let acked_pkts = (fb.acked.as_u64() as f64 / self.cfg.mtu as f64).max(1.0);
+        let acked_pkts = (fb.acked.as_f64() / self.cfg.mtu as f64).max(1.0);
 
         if !congested {
             // Additive increase, normalized so it sums to ~ai per RTT;
@@ -777,7 +777,7 @@ mod tests {
                     assert!(s.cwnd().is_finite(), "case {case}");
                     assert!(s.cwnd() >= 0.001 - 1e-12, "case {case}");
                     assert!(s.cwnd() <= s.cfg.max_cwnd_pkts() + 1e-9, "case {case}");
-                    assert!(s.limits().pacing.as_u64() > 0, "case {case}");
+                    assert!(s.limits().pacing > BitRate::ZERO, "case {case}");
                 }
             }
         }

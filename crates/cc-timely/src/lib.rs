@@ -219,9 +219,7 @@ impl CongestionControl for Timely {
             // Guard rail: always decrease above T_high (gated).
             self.good_events = 0;
             if may_decrease {
-                let r = new_rtt.as_u64() as f64;
-                let t = self.cfg.t_high.as_u64() as f64;
-                self.rate *= 1.0 - self.cfg.beta * (1.0 - t / r);
+                self.rate *= 1.0 - self.cfg.beta * (1.0 - self.cfg.t_high.ratio(new_rtt));
                 self.last_decrease = fb.now;
             }
         } else if gradient <= 0.0 {

@@ -66,7 +66,7 @@ pub mod wheel;
 
 pub use engine::{RunOutcome, Simulation, World};
 pub use queue::EventQueue;
-pub use rng::{DetRng, ECMP_STREAM, FEEDBACK_STREAM, RED_STREAM, WORKLOAD_STREAM};
+pub use rng::{DetRng, Stream};
 pub use sched::{Scheduler, SchedulerKind};
 pub use time::Nanos;
 pub use units::{BitRate, Bytes};

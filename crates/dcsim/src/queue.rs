@@ -271,7 +271,7 @@ mod tests {
     fn prop_pops_sorted_and_stable() {
         let mut rng = DetRng::new(0x9_0e0e);
         for _ in 0..256 {
-            let n = rng.below(200) as usize;
+            let n = rng.index(200);
             let times: Vec<u64> = (0..n).map(|_| rng.below(1000)).collect();
             let mut q = EventQueue::new();
             for (i, t) in times.iter().enumerate() {
@@ -296,7 +296,7 @@ mod tests {
     fn prop_conservation() {
         let mut rng = DetRng::new(0xc0_15e7);
         for _ in 0..256 {
-            let n = rng.below(100) as usize;
+            let n = rng.index(100);
             let times: Vec<u64> = (0..n).map(|_| rng.below(50)).collect();
             let mut q = EventQueue::new();
             for t in &times {

@@ -1,26 +1,29 @@
 //! Deterministic random numbers for simulations.
 //!
-//! Every scenario run owns a [`DetRng`] seeded from a single `u64`. Distinct
-//! subsystems (workload sampling, ECMP hashing, RED marking, probabilistic
-//! feedback) should each take an independent *stream* split off the scenario
-//! seed so that, e.g., adding one extra RED draw cannot perturb the flow
-//! arrival sequence. Streams are derived with SplitMix64, the standard seed
-//! expander, so nearby seeds still yield statistically independent streams.
+//! Every scenario run owns a [`DetRng`] seeded from a single `u64`. Each
+//! subsystem that draws during a run (RED marking, fault injection) takes
+//! its own [`Stream`] split off the scenario seed, so that, e.g., adding one
+//! extra RED draw cannot perturb the fault draws. Streams are derived with
+//! SplitMix64, the standard seed expander, so nearby seeds still yield
+//! statistically independent streams.
 //!
 //! The core generator is an in-repo xoshiro256++ (Blackman & Vigna): fast,
 //! non-cryptographic, 256-bit state — exactly what a network simulator
 //! needs, with no external dependency so the workspace builds hermetically.
 
-/// Stream label for workload sampling (flow arrivals, sizes).
-pub const WORKLOAD_STREAM: u64 = 0;
-/// Stream label for ECMP path hashing.
-pub const ECMP_STREAM: u64 = 1;
-/// Stream label for RED marking draws.
-pub const RED_STREAM: u64 = 2;
-/// Stream label for probabilistic feedback draws.
-pub const FEEDBACK_STREAM: u64 = 3;
-// Stream 4 is fault injection; netsim::fault owns FAULT_STREAM so the
-// constant lives next to the code it disciplines.
+/// A simulation subsystem's independent random stream (see
+/// [`DetRng::stream`]). A subsystem draws only from its own stream, and a
+/// new consumer gets a new variant rather than a raw label. The
+/// discriminant is the derivation label, fixed because every seeded run
+/// depends on it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[repr(u64)]
+pub enum Stream {
+    /// RED/ECN marking draws at switch egress ports.
+    Red = 2,
+    /// Fault injection: wire loss and RTO jitter.
+    Fault = 4,
+}
 
 /// SplitMix64 step: used for seed derivation only, never as the main RNG.
 #[inline]
@@ -67,17 +70,20 @@ impl DetRng {
         self.seed
     }
 
-    /// Derive an independent child stream.
-    ///
-    /// `label` identifies the consumer; use the named constants
-    /// ([`WORKLOAD_STREAM`], [`ECMP_STREAM`], [`RED_STREAM`],
-    /// [`FEEDBACK_STREAM`], `netsim::fault::FAULT_STREAM`) rather than raw
-    /// numbers so assignments stay auditable. The
-    /// child depends only on
-    /// `(seed, label)`, never on how much randomness the parent has already
-    /// consumed, which keeps subsystems decoupled.
-    pub fn stream(&self, label: u64) -> DetRng {
-        let mut s = self.seed ^ label.rotate_left(17).wrapping_mul(0xA24B_AED4_963E_E407);
+    /// Derive a simulation subsystem's independent stream. It depends only
+    /// on `(seed, stream)`, never on how much randomness the parent has
+    /// already consumed, which keeps subsystems decoupled.
+    pub fn stream(&self, stream: Stream) -> DetRng {
+        self.fork(stream as u64)
+    }
+
+    /// Derive an independent child keyed by an arbitrary `u64`, for
+    /// harness code that keys children by hashed names or replicate
+    /// indices (sweep seed derivation, bootstrap seeding). Simulation
+    /// subsystems use [`stream`](Self::stream). The child depends only on
+    /// `(seed, key)`.
+    pub fn fork(&self, key: u64) -> DetRng {
+        let mut s = self.seed ^ key.rotate_left(17).wrapping_mul(0xA24B_AED4_963E_E407);
         let derived = splitmix64(&mut s);
         DetRng::new(derived)
     }
@@ -119,6 +125,10 @@ impl DetRng {
 
     /// Uniform integer in `[0, bound)`. Panics if `bound == 0`.
     #[inline]
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "Lemire's method compares the product's low 64 bits"
+    )]
     pub fn below(&mut self, bound: u64) -> u64 {
         assert!(bound > 0, "below(0) is meaningless");
         // Lemire's multiply-shift method with rejection for exact uniformity.
@@ -130,6 +140,13 @@ impl DetRng {
                 return (m >> 64) as u64;
             }
         }
+    }
+
+    /// Uniform index in `[0, len)`: one [`below`](Self::below) draw.
+    /// Panics if `len == 0`.
+    #[inline]
+    pub fn index(&mut self, len: usize) -> usize {
+        usize::try_from(self.below(len as u64)).expect("an index below a usize length")
     }
 
     /// Bernoulli draw with probability `p` (clamped to `[0, 1]`).
@@ -204,19 +221,26 @@ mod tests {
         for _ in 0..100 {
             parent2.next_u64();
         }
-        let mut c1 = parent1.stream(3);
-        let mut c2 = parent2.stream(3);
+        let mut c1 = parent1.stream(Stream::Red);
+        let mut c2 = parent2.stream(Stream::Red);
         for _ in 0..100 {
             assert_eq!(c1.next_u64(), c2.next_u64());
         }
     }
 
     #[test]
-    fn distinct_stream_labels_differ() {
+    fn distinct_streams_differ() {
         let root = DetRng::new(9);
-        let mut a = root.stream(0);
-        let mut b = root.stream(1);
+        let mut a = root.stream(Stream::Red);
+        let mut b = root.stream(Stream::Fault);
         assert_ne!(a.next_u64(), b.next_u64());
+    }
+
+    #[test]
+    fn stream_labels_are_pinned() {
+        let root = DetRng::new(9);
+        assert_eq!(root.stream(Stream::Red).seed(), root.fork(2).seed());
+        assert_eq!(root.stream(Stream::Fault).seed(), root.fork(4).seed());
     }
 
     #[test]
@@ -252,7 +276,7 @@ mod tests {
         let mut r = DetRng::new(19);
         let mut counts = [0u32; 8];
         for _ in 0..80_000 {
-            counts[r.below(8) as usize] += 1;
+            counts[r.index(8)] += 1;
         }
         for c in counts {
             assert!((9_000..11_000).contains(&c), "got {c}");

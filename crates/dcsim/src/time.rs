@@ -104,6 +104,13 @@ impl Nanos {
         self.0.checked_add(rhs.0).map(Nanos)
     }
 
+    /// `self / rhs` as a dimensionless `f64` (a slowdown, a delay ratio),
+    /// computed as `self as f64 / rhs as f64`.
+    #[inline]
+    pub fn ratio(self, rhs: Nanos) -> f64 {
+        self.0 as f64 / rhs.0 as f64
+    }
+
     /// The larger of two instants.
     #[inline]
     pub fn max(self, rhs: Nanos) -> Nanos {
@@ -239,6 +246,7 @@ mod tests {
         assert!((Nanos(1_500).as_micros_f64() - 1.5).abs() < 1e-12);
         assert!((Nanos(2_500_000).as_millis_f64() - 2.5).abs() < 1e-12);
         assert!((Nanos(750_000_000).as_secs_f64() - 0.75).abs() < 1e-12);
+        assert_eq!(Nanos(3).ratio(Nanos(4)), 0.75);
     }
 
     #[test]

@@ -139,6 +139,10 @@ impl Nanos {
     /// values map to zero, `+inf`/overflow saturates at `u64::MAX`
     /// (Rust's float-to-int `as` semantics, which are platform-independent).
     #[inline]
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "the sanctioned f64 -> u64 crossing for times; `as` saturates"
+    )]
     pub fn from_ns_f64(ns: f64) -> Nanos {
         debug_assert!(
             ns.is_finite() && ns >= 0.0,
@@ -194,6 +198,10 @@ impl BitRate {
     /// values map to zero, `+inf`/overflow saturates at `u64::MAX`
     /// (Rust's float-to-int `as` semantics, which are platform-independent).
     #[inline]
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "the sanctioned f64 -> u64 crossing for rates; `as` saturates"
+    )]
     pub fn from_bps_f64(bps: f64) -> Self {
         debug_assert!(
             bps.is_finite() && bps >= 0.0,
@@ -224,25 +232,26 @@ impl BitRate {
     ///
     /// Rounding *up* guarantees a transmitter never emits faster than the
     /// physical line: 1000 B at 100 Gbps is exactly 80 ns; 1000 B at 400 Gbps
-    /// is exactly 20 ns; 1 B at 3 Gbps rounds 2.67 ns up to 3 ns.
+    /// is exactly 20 ns; 1 B at 3 Gbps rounds 2.67 ns up to 3 ns. A delay
+    /// beyond `u64` nanoseconds saturates at [`Nanos::MAX`].
     #[inline]
     pub fn serialization_delay(self, bytes: Bytes) -> Nanos {
         assert!(self.0 > 0, "serialization delay at zero rate is undefined");
         // delay_ns = bytes * 8 * 1e9 / rate_bps, computed in u128 to avoid
-        // overflow (bytes can be a whole flow for ideal-FCT math).
-        // simlint: allow(O1) — widened to u128; max is 2^64 * 8e9 < 2^128
+        // overflow (bytes can be a whole flow for ideal-FCT math): the
+        // numerator is at most 2^64 * 8e9 < 2^128.
         let num = (bytes.0 as u128) * 8 * 1_000_000_000;
         let den = self.0 as u128;
-        Nanos(num.div_ceil(den) as u64)
+        Nanos(u64::try_from(num.div_ceil(den)).unwrap_or(u64::MAX))
     }
 
-    /// The number of bytes this rate delivers in `dur` (rounded down).
+    /// The number of bytes this rate delivers in `dur` (rounded down),
+    /// saturating at `u64::MAX` bytes.
     #[inline]
     pub fn bytes_in(self, dur: Nanos) -> Bytes {
-        // simlint: allow(O1) — widened to u128; product of two u64 fits
+        // The product of two u64 fits in u128.
         let num = (self.0 as u128) * (dur.0 as u128);
-        // simlint: allow(O1) — constant divisor product 8e9 fits in u128
-        Bytes((num / (8 * 1_000_000_000)) as u64)
+        Bytes(u64::try_from(num / (8 * 1_000_000_000)).unwrap_or(u64::MAX))
     }
 
     /// Bandwidth-delay product for a given round-trip time.
@@ -302,6 +311,14 @@ mod tests {
         let r = BitRate::from_gbps(100);
         let d = r.serialization_delay(Bytes(10_000_000_000));
         assert_eq!(d, Nanos(800_000_000));
+    }
+
+    #[test]
+    fn serialization_delay_and_bytes_in_saturate() {
+        let slow = BitRate::from_bps(1);
+        assert_eq!(slow.serialization_delay(Bytes(u64::MAX)), Nanos::MAX);
+        let fast = BitRate(u64::MAX);
+        assert_eq!(fast.bytes_in(Nanos::MAX), Bytes(u64::MAX));
     }
 
     #[test]

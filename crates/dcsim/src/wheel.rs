@@ -65,6 +65,16 @@ const LEVELS: usize = 6;
 /// Deltas at or beyond this go to the spill heap (`64^LEVELS`).
 const SPAN: u64 = 1 << (BITS as u64 * LEVELS as u64);
 
+/// The slot a time (or a block number) falls in: its low `BITS` bits.
+#[inline]
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "masked to SLOTS - 1, which fits in u32"
+)]
+fn slot_of(x: u64) -> u32 {
+    (x & (SLOTS as u64 - 1)) as u32
+}
+
 /// One scheduled entry.
 struct Entry<E> {
     at: Nanos,
@@ -207,7 +217,7 @@ impl<E> TimingWheel<E> {
         } else {
             ((63 - delta.leading_zeros()) / BITS) as usize
         };
-        let slot = ((t >> (BITS as u64 * level as u64)) & (SLOTS as u64 - 1)) as usize;
+        let slot = slot_of(t >> (BITS as u64 * level as u64)) as usize;
         self.slots[level * SLOTS + slot].push(e);
         self.occupied[level] |= 1 << slot;
     }
@@ -218,7 +228,7 @@ impl<E> TimingWheel<E> {
         if self.occupied[0] == 0 {
             return None;
         }
-        let cur = (self.cursor & (SLOTS as u64 - 1)) as u32;
+        let cur = slot_of(self.cursor);
         let tz = self.occupied[0].rotate_right(cur).trailing_zeros() as u64;
         Some(self.cursor + tz)
     }
@@ -242,7 +252,7 @@ impl<E> TimingWheel<E> {
         }
         let shift = BITS as u64 * level as u64;
         let cur_block = self.cursor >> shift;
-        let cur = (cur_block & (SLOTS as u64 - 1)) as u32;
+        let cur = slot_of(cur_block);
         let rot = occ.rotate_right(cur);
         if rot & 1 != 0 {
             let slot = cur as usize;
@@ -255,7 +265,7 @@ impl<E> TimingWheel<E> {
         }
         let (off, slot) = if rot & !1 != 0 {
             let tz = (rot & !1).trailing_zeros() as u64;
-            (tz, ((cur as u64 + tz) & (SLOTS as u64 - 1)) as usize)
+            (tz, slot_of(cur as u64 + tz) as usize)
         } else {
             (SLOTS as u64, cur as usize)
         };
@@ -298,7 +308,7 @@ impl<E> TimingWheel<E> {
         loop {
             match self.next_advance().expect("pending events exist") {
                 Advance::Commit(t0) => {
-                    let slot = (t0 & (SLOTS as u64 - 1)) as usize;
+                    let slot = slot_of(t0) as usize;
                     self.occupied[0] &= !(1 << slot);
                     std::mem::swap(&mut self.active, &mut self.slots[slot]);
                     // FIFO: dispatch lowest seq first; `pop` takes from the

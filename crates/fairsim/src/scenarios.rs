@@ -131,7 +131,7 @@ fn drive<S: Scheduler<netsim::Event> + Default>(
 /// quarter of the deadline, floored at 1 ms so RTT-scale quiet spells and
 /// backed-off RTO waits never read as stalls (see [`netsim::run_watched`]).
 fn default_watchdog(deadline: Nanos) -> Nanos {
-    Nanos::from_ns(deadline.as_u64() / 4).max(Nanos::from_millis(1))
+    (deadline / 4).max(Nanos::from_millis(1))
 }
 
 /// Everything that differs between the scenario families, resolved
@@ -213,7 +213,7 @@ fn slowdown_rows(net: &Network) -> Vec<(u32, u64, f64)> {
     let mut raw = Vec::with_capacity(net.monitor.fcts().len());
     for r in net.monitor.fcts() {
         let ideal = net.ideal_fct(r.flow);
-        let slowdown = (r.fct().as_u64() as f64 / ideal.as_u64() as f64).max(1.0);
+        let slowdown = r.fct().ratio(ideal).max(1.0);
         raw.push((r.flow.0, r.size.as_u64(), slowdown));
     }
     raw
@@ -311,7 +311,10 @@ impl IncastScenario {
         // index is computed over enough trailing samples to cover several
         // packets per flow. The window grows with the incast degree.
         let window_us = (self.incast.senders as f64 * 1.25).max(20.0);
-        // simlint: allow(D4) — dimensionless sample count, not a unit quantity
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "a small positive sample count"
+        )]
         let k = (window_us / self.sample_interval.as_micros_f64()).ceil() as usize;
         let jain_series = jain_over_trailing_window(net.monitor.samples(), k.max(1));
         let mut queue_series = Vec::with_capacity(net.monitor.samples().len());
@@ -521,7 +524,7 @@ fn poisson_plan(
     );
     // Arrivals stop at the horizon; give the tail 4x the horizon to
     // drain (starved long flows are exactly what we are measuring).
-    let drain_deadline = Nanos::from_ns(horizon.as_u64() * 5);
+    let drain_deadline = horizon * 5;
     Plan {
         env: NetEnv::fat_tree(topo.base_rtt),
         cfg: NetConfig::default(),
@@ -863,7 +866,7 @@ impl Scenario for FaultScenario {
             cap: rto_cap,
             jitter_frac: 0.1,
         };
-        plan.watchdog = plan.watchdog.max(Nanos::from_ns(rto_cap.as_u64() * 5));
+        plan.watchdog = plan.watchdog.max(rto_cap * 5);
         let run = execute(plan, &self.cc, ctx, &|env, s| self.cc.build(env, s));
         let raw = slowdown_rows(&run.net);
         FaultResult {
@@ -1041,7 +1044,7 @@ mod tests {
             // it, and some samples end up empty.
             let ids: Vec<u32> = (0..2 + rng.below(30))
                 .scan(0, |id, _| {
-                    *id += 1 + rng.below(40) as u32;
+                    *id += 1 + u32::try_from(rng.below(40)).expect("below 40");
                     Some(*id)
                 })
                 .collect();

@@ -181,9 +181,9 @@ impl Report {
 /// from inputs only (never execution state).
 fn ci_seed(root_seed: u64, cell_id: &str, stat: &str) -> u64 {
     DetRng::new(root_seed)
-        .stream(fnv1a("fleet.bootstrap"))
-        .stream(fnv1a(cell_id))
-        .stream(fnv1a(stat))
+        .fork(fnv1a("fleet.bootstrap"))
+        .fork(fnv1a(cell_id))
+        .fork(fnv1a(stat))
         .seed()
 }
 

@@ -72,15 +72,15 @@ impl Ensemble {
     /// The seed list for one workload point.
     ///
     /// Replicate 0 is the root seed itself; replicate `k >= 1` derives
-    /// from `(root_seed, fnv1a(point_key), k)` through [`DetRng`] stream
-    /// splitting, so it is rerun-stable and independent of every other
-    /// point and of how many replicates were requested.
+    /// from `(root_seed, fnv1a(point_key), k)` through [`DetRng::fork`],
+    /// so it is rerun-stable and independent of every other point and of
+    /// how many replicates were requested.
     pub fn seeds_for(&self, point_key: &str) -> Vec<u64> {
         let mut seeds = Vec::with_capacity(self.replicates);
         seeds.push(self.root_seed);
-        let point_stream = DetRng::new(self.root_seed).stream(fnv1a(point_key));
+        let point_stream = DetRng::new(self.root_seed).fork(fnv1a(point_key));
         for rep in 1..self.replicates {
-            seeds.push(point_stream.stream(rep as u64).seed());
+            seeds.push(point_stream.fork(rep as u64).seed());
         }
         seeds
     }

@@ -2,8 +2,8 @@
 //! flaps with failover rerouting, and exponential RTO backoff.
 //!
 //! All fault randomness draws from a dedicated [`DetRng`] stream
-//! ([`FAULT_STREAM`]) so enabling faults never perturbs the workload,
-//! ECMP, or RED streams — and an empty [`FaultPlan`] performs zero
+//! ([`dcsim::Stream::Fault`]) so enabling faults never perturbs the RED
+//! stream or the workload — and an empty [`FaultPlan`] performs zero
 //! draws, keeping fault-free runs bit-identical to runs built before
 //! this module existed (the same zero-cost-when-off contract as the
 //! trace layer).
@@ -11,11 +11,6 @@
 use dcsim::{DetRng, Nanos};
 
 use crate::ids::NodeId;
-
-/// The dedicated RNG stream label for fault injection (see
-/// [`DetRng::stream`]). Streams 0–3 belong to the workload, ECMP, RED,
-/// and probabilistic feedback; fault draws must never share them.
-pub const FAULT_STREAM: u64 = 4;
 
 /// Per-link, per-direction packet loss model, applied to each frame as
 /// it begins transmission (the wire is held busy for the serialization
@@ -178,12 +173,11 @@ impl FlapSchedule {
     pub fn transitions(&self) -> Vec<(Nanos, bool)> {
         let mut out = Vec::new();
         for k in 0..u64::from(self.cycles.max(1)) {
-            let offset = self.period.as_u64().saturating_mul(k);
-            let down = self.first_down.as_u64().saturating_add(offset);
-            out.push((Nanos::from_ns(down), false));
-            let up = down.saturating_add(self.down_for.as_u64());
-            if up < Nanos::MAX.as_u64() {
-                out.push((Nanos::from_ns(up), true));
+            let down = self.first_down + self.period * k;
+            out.push((down, false));
+            let up = down + self.down_for;
+            if up < Nanos::MAX {
+                out.push((up, true));
             }
         }
         out
@@ -273,8 +267,7 @@ impl RtoBackoff {
         let factor = u64::from(self.multiplier.max(1))
             .checked_pow(level)
             .unwrap_or(u64::MAX);
-        let raw = base.as_u64().saturating_mul(factor);
-        Nanos::from_ns(raw.min(self.cap.as_u64().max(base.as_u64())))
+        (base * factor).min(self.cap.max(base))
     }
 
     /// The jitter to add on top of `timeout`. Zero — with zero RNG
@@ -284,8 +277,7 @@ impl RtoBackoff {
             return Nanos::ZERO;
         }
         let frac = self.jitter_frac.min(1.0) * rng.f64();
-        let extra = (timeout.as_u64() as f64 * frac) as u64; // simlint: allow(D4) — jitter rounding; sub-ns precision is immaterial
-        Nanos::from_ns(extra)
+        Nanos::from_ns_f64(timeout.as_u64() as f64 * frac)
     }
 }
 

@@ -63,7 +63,7 @@ pub struct Flow {
 impl Flow {
     /// Create a fresh flow.
     pub fn new(id: FlowId, spec: FlowSpec, cc: Box<dyn CongestionControl>) -> Self {
-        assert!(spec.size.as_u64() > 0, "zero-length flows are not allowed");
+        assert!(spec.size > Bytes::ZERO, "zero-length flows are not allowed");
         assert!(
             spec.src != spec.dst,
             "flow source and destination must differ"

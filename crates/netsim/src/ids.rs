@@ -9,6 +9,11 @@
 pub struct NodeId(pub u32);
 
 impl NodeId {
+    /// The id of arena index `i`.
+    pub fn from_idx(i: usize) -> Self {
+        NodeId(u32::try_from(i).expect("node index fits in u32"))
+    }
+
     /// The raw index.
     #[inline]
     pub fn idx(self) -> usize {
@@ -21,6 +26,11 @@ impl NodeId {
 pub struct PortNo(pub u16);
 
 impl PortNo {
+    /// The number of port `i` of a node.
+    pub fn from_idx(i: usize) -> Self {
+        PortNo(u16::try_from(i).expect("port index fits in u16"))
+    }
+
     /// The raw index.
     #[inline]
     pub fn idx(self) -> usize {
@@ -49,13 +59,16 @@ mod tests {
         assert_eq!(NodeId(7).idx(), 7);
         assert_eq!(PortNo(3).idx(), 3);
         assert_eq!(FlowId(11).idx(), 11);
+        assert_eq!(NodeId::from_idx(7), NodeId(7));
+        assert_eq!(PortNo::from_idx(3), PortNo(3));
     }
 
     #[test]
     fn ids_are_ordered_and_hashable() {
         // BTreeSet rather than HashSet: the default RandomState hasher is
-        // banned workspace-wide (simlint D1), and the point here is only
-        // that ids implement Ord + Eq for use as deterministic keys.
+        // banned workspace-wide (clippy `disallowed_types`), and the point
+        // here is only that ids implement Ord + Eq for use as deterministic
+        // keys.
         use std::collections::BTreeSet;
         let mut s = BTreeSet::new();
         s.insert(NodeId(1));

@@ -50,9 +50,7 @@ pub mod routing;
 pub mod run;
 pub mod topology;
 
-pub use fault::{
-    FaultPlan, FaultStats, FlapSchedule, LinkFault, LossModel, RtoBackoff, FAULT_STREAM,
-};
+pub use fault::{FaultPlan, FaultStats, FlapSchedule, LinkFault, LossModel, RtoBackoff};
 pub use flow::{Flow, FlowSpec};
 pub use ids::{FlowId, NodeId, PortNo};
 pub use monitor::{FctRecord, Monitor, MonitorConfig, Sample};

@@ -1,11 +1,11 @@
 //! The network world: arenas of nodes, ports, and flows, plus the event
 //! handlers that move packets between them.
 
-use dcsim::{Bytes, DetRng, Nanos, Scheduler, World, RED_STREAM};
+use dcsim::{Bytes, DetRng, Nanos, Scheduler, Stream, World};
 use faircc::{AckFeedback, CongestionControl, IntHop};
 use simtrace::{Subsystem, TraceEvent, Tracer};
 
-use crate::fault::{FaultPlan, FaultStats, LossState, RtoBackoff, FAULT_STREAM};
+use crate::fault::{FaultPlan, FaultStats, LossState, RtoBackoff};
 use crate::flow::{Flow, FlowSpec};
 use crate::ids::{FlowId, NodeId, PortNo};
 use crate::monitor::{FctRecord, Monitor, MonitorConfig};
@@ -154,23 +154,25 @@ impl NetBuilder {
 
     /// Add an end host. Hosts must end up with exactly one link.
     pub fn add_host(&mut self) -> NodeId {
-        self.kinds.push(NodeKind::Host);
-        self.ports.push(Vec::new());
-        NodeId(self.kinds.len() as u32 - 1)
+        self.add_node(NodeKind::Host)
     }
 
     /// Add a switch.
     pub fn add_switch(&mut self) -> NodeId {
-        self.kinds.push(NodeKind::Switch);
+        self.add_node(NodeKind::Switch)
+    }
+
+    fn add_node(&mut self, kind: NodeKind) -> NodeId {
+        self.kinds.push(kind);
         self.ports.push(Vec::new());
-        NodeId(self.kinds.len() as u32 - 1)
+        NodeId::from_idx(self.kinds.len() - 1)
     }
 
     /// Connect two nodes with a symmetric full-duplex link.
     pub fn link(&mut self, a: NodeId, b: NodeId, rate: dcsim::BitRate, prop: Nanos) {
         assert!(a != b, "self-links are not allowed");
-        let pa = PortNo(self.ports[a.idx()].len() as u16);
-        let pb = PortNo(self.ports[b.idx()].len() as u16);
+        let pa = PortNo::from_idx(self.ports[a.idx()].len());
+        let pb = PortNo::from_idx(self.ports[b.idx()].len());
         self.ports[a.idx()].push(Port::new((b, pb), rate, prop));
         self.ports[b.idx()].push(Port::new((a, pa), rate, prop));
     }
@@ -195,7 +197,7 @@ impl NetBuilder {
                         "host {i} must have exactly one link, has {}",
                         self.ports[i].len()
                     );
-                    hosts.push(NodeId(i as u32));
+                    hosts.push(NodeId::from_idx(i));
                 }
                 NodeKind::Switch => {
                     assert!(!self.ports[i].is_empty(), "switch {i} has no links");
@@ -214,14 +216,14 @@ impl NetBuilder {
             .map(|ps| {
                 ps.iter()
                     .enumerate()
-                    .map(|(i, p)| (PortNo(i as u16), p.peer.0))
+                    .map(|(i, p)| (PortNo::from_idx(i), p.peer.0))
                     .collect()
             })
             .collect();
         let routes = RoutingTable::compute(&adj, &hosts);
         let rng = DetRng::new(cfg.seed);
-        let red_rng = rng.stream(RED_STREAM);
-        let fault_rng = rng.stream(FAULT_STREAM);
+        let red_rng = rng.stream(Stream::Red);
+        let fault_rng = rng.stream(Stream::Fault);
         let faults_active = !cfg.faults.is_empty();
         // Attach loss models to both directions of each faulted link, and
         // validate that every fault references a real link.
@@ -308,7 +310,7 @@ impl Network {
             NodeKind::Host,
             "flow destination must be a host"
         );
-        let id = FlowId(self.flows.len() as u32);
+        let id = FlowId(u32::try_from(self.flows.len()).expect("flow index fits in u32"));
         self.flows.push(Flow::new(id, spec, cc));
         id
     }
@@ -461,7 +463,7 @@ impl Network {
         }
         for (ni, n) in self.nodes.iter().enumerate() {
             for (pi, p) in n.ports.iter().enumerate() {
-                p.publish_metrics(ni as u32, pi as u16, reg);
+                p.publish_metrics(NodeId::from_idx(ni), PortNo::from_idx(pi), reg);
             }
         }
         self.monitor.publish_metrics(reg);
@@ -476,7 +478,7 @@ impl Network {
             .ports
             .iter()
             .position(|p| p.peer.0 == b)
-            .map(|i| (a, PortNo(i as u16)))
+            .map(|i| (a, PortNo::from_idx(i)))
     }
 
     /// The theoretical minimum FCT for a flow on an idle network:
@@ -542,11 +544,14 @@ impl Network {
                     }
                     break;
                 }
-                let sz = (f.remaining()).min(self.cfg.mtu as u64) as u32;
+                let sz = u32::try_from(f.remaining()).map_or(self.cfg.mtu, |r| r.min(self.cfg.mtu));
                 let seq = f.sent;
                 f.sent += sz as u64;
                 f.cc.on_send(now, Bytes::new(sz as u64));
-                debug_assert!(lim.pacing.as_u64() > 0, "pacing rate must be positive");
+                debug_assert!(
+                    lim.pacing > dcsim::BitRate::ZERO,
+                    "pacing rate must be positive"
+                );
                 let delta = lim.pacing.serialization_delay(Bytes::new(sz as u64));
                 f.next_allowed = f.next_allowed.max(now) + delta;
                 (f.id, f.spec.src, f.spec.dst, seq, sz)
@@ -859,7 +864,8 @@ impl Network {
             }
         } else {
             let flushed = self.nodes[node.idx()].ports[port.idx()].take_down(now);
-            let n_flushed = flushed.len() as u32;
+            let n_flushed =
+                u32::try_from(flushed.len()).expect("a port queue holds under 2^32 frames");
             for pkt in flushed {
                 self.pool.free(pkt);
             }
@@ -1300,7 +1306,7 @@ mod tests {
             self.rate = (self.rate / 2.0).max(1e9);
         }
         fn limits(&self) -> SenderLimits {
-            SenderLimits::rate_based(BitRate::from_bps(self.rate as u64))
+            SenderLimits::rate_based(BitRate::from_bps_f64(self.rate))
         }
         fn mode(&self) -> CcMode {
             CcMode::Rate
@@ -1348,7 +1354,7 @@ mod tests {
         // (pacing quantization), and never below it.
         assert!(fct >= ideal, "fct {fct} < ideal {ideal}");
         assert!(
-            fct.as_u64() <= ideal.as_u64() + 500,
+            fct <= ideal + Nanos::from_ns(500),
             "fct {fct} too far above ideal {ideal}"
         );
     }

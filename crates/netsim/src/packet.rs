@@ -142,7 +142,7 @@ pub struct PacketPool {
     free: Vec<u32>,
     recycled: u64,
     /// Peak live-slot count ever observed (published to metrics).
-    live_hwm: usize,
+    live_hwm: u64,
 }
 
 impl PacketPool {
@@ -161,7 +161,8 @@ impl PacketPool {
                 PacketHandle { idx, gen: slot.gen }
             }
             None => {
-                let idx = self.slots.len() as u32;
+                let idx =
+                    u32::try_from(self.slots.len()).expect("packet pool holds under 2^32 slots");
                 if self.slots.len() == self.slots.capacity() {
                     // The slab only grows while the live-packet high-water
                     // mark is still rising; chunked reservation makes a
@@ -175,7 +176,7 @@ impl PacketPool {
                 PacketHandle { idx, gen: 0 }
             }
         };
-        self.live_hwm = self.live_hwm.max(self.live() as usize);
+        self.live_hwm = self.live_hwm.max(self.live());
         h
     }
 
@@ -250,7 +251,7 @@ impl PacketPool {
 
     /// Peak simultaneous live-slot count — the slab's working-set size.
     pub fn live_hwm(&self) -> u64 {
-        self.live_hwm as u64
+        self.live_hwm
     }
 }
 

@@ -61,7 +61,7 @@ impl PfcConfig {
             self.xon,
             self.xoff
         );
-        assert!(self.xoff.as_u64() > 0, "xoff must be positive");
+        assert!(self.xoff > Bytes::ZERO, "xoff must be positive");
     }
 }
 

@@ -47,8 +47,7 @@ impl RedConfig {
         } else if q >= self.kmax {
             1.0
         } else {
-            self.pmax * (q.as_u64() - self.kmin.as_u64()) as f64
-                / (self.kmax.as_u64() - self.kmin.as_u64()) as f64
+            self.pmax * (q - self.kmin).as_f64() / (self.kmax - self.kmin).as_f64()
         }
     }
 }
@@ -121,7 +120,7 @@ pub struct Port {
 impl Port {
     /// A new idle port.
     pub fn new(peer: (NodeId, PortNo), rate: BitRate, prop: Nanos) -> Self {
-        assert!(rate.as_u64() > 0, "links must have a positive rate");
+        assert!(rate > BitRate::ZERO, "links must have a positive rate");
         Port {
             peer,
             rate,
@@ -160,8 +159,8 @@ impl Port {
             "port byte conservation: enqueued != transmitted + dropped + resident"
         );
         dcsim::audit_assert_eq!(
-            self.enq_packets as usize,
-            self.tx_packets as usize + self.dropped_packets as usize + self.queue.len(),
+            self.enq_packets,
+            self.tx_packets + self.dropped_packets + self.queue.len() as u64,
             "port packet conservation: enqueued != transmitted + dropped + resident"
         );
         dcsim::audit_assert!(
@@ -315,7 +314,9 @@ impl Port {
     /// packet even when `bytes * 8e9 / rate` is not a whole nanosecond.
     fn ser_delay(&mut self, bytes: u32) -> Nanos {
         let ps = (bytes as u128) * 8_000_000_000_000u128 / (self.rate.as_u64() as u128);
-        let total = (ps as u64).saturating_add(self.residue_ps);
+        let total = u64::try_from(ps)
+            .unwrap_or(u64::MAX)
+            .saturating_add(self.residue_ps);
         self.residue_ps = total % 1_000;
         Nanos::from_ns(total / 1_000)
     }
@@ -372,11 +373,11 @@ impl Port {
     /// Publish this port's cumulative counters into the metrics registry
     /// under `port.<node>.<port>.*` keys. Ports that never saw traffic
     /// stay out of the registry to keep large-topology output small.
-    pub fn publish_metrics(&self, node: u32, port: u16, reg: &mut simtrace::MetricsRegistry) {
+    pub fn publish_metrics(&self, node: NodeId, port: PortNo, reg: &mut simtrace::MetricsRegistry) {
         if self.enq_packets == 0 {
             return;
         }
-        let prefix = format!("port.{node}.{port}");
+        let prefix = format!("port.{}.{}", node.0, port.0);
         reg.counter_set(&format!("{prefix}.tx_bytes"), self.tx_bytes);
         reg.counter_set(&format!("{prefix}.tx_packets"), self.tx_packets);
         reg.counter_set(&format!("{prefix}.enq_bytes"), self.enq_bytes);

@@ -86,12 +86,16 @@ impl RoutingTable {
     /// legitimately partition the fabric (the packet is dropped and
     /// traced instead of panicking).
     #[inline]
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "the remainder is below `c.len()`, a usize"
+    )]
     pub fn try_pick(&self, node: NodeId, dst: NodeId, flow: FlowId) -> Option<PortNo> {
         let c = self.candidates(node, dst);
         if c.is_empty() {
             return None;
         }
-        Some(c[ecmp_hash(flow, node) as usize % c.len()])
+        Some(c[(ecmp_hash(flow, node) % c.len() as u64) as usize])
     }
 }
 
@@ -109,7 +113,7 @@ pub fn filter_adjacency(
         .map(|(u, ports)| {
             ports
                 .iter()
-                .filter(|&&(p, _)| port_up(NodeId(u as u32), p))
+                .filter(|&&(p, _)| port_up(NodeId::from_idx(u), p))
                 .copied()
                 .collect()
         })

@@ -316,7 +316,7 @@ mod tests {
         let fct = sim.world().monitor.fcts()[0].fct();
         assert!(fct >= ideal);
         assert!(
-            fct.as_u64() < ideal.as_u64() + 1_000,
+            fct < ideal + Nanos::from_ns(1_000),
             "fct {fct} ideal {ideal}"
         );
     }
@@ -368,8 +368,8 @@ mod tests {
             .build(NetConfig::default(), MonitorConfig::default());
         let mut rng = dcsim::DetRng::new(17);
         for trial in 0..500 {
-            let src = hosts[rng.below(hosts.len() as u64) as usize];
-            let dst = hosts[rng.below(hosts.len() as u64) as usize];
+            let src = hosts[rng.index(hosts.len())];
+            let dst = hosts[rng.index(hosts.len())];
             if src == dst {
                 continue;
             }

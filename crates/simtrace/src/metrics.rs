@@ -146,8 +146,11 @@ impl MetricsRegistry {
     ///
     /// The only lossy float→int conversion in the crate: histogram
     /// buckets are base-2 decades, so sub-integer precision is noise.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "log-scale bucketing; sub-integer precision is immaterial"
+    )]
     pub fn histogram_record_f64(&mut self, key: &str, value: f64) {
-        // simlint: allow(D4) — log-scale bucketing; sub-integer precision is immaterial
         self.histogram_record(key, value.max(0.0) as u64);
     }
 

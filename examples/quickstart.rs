@@ -36,15 +36,15 @@ fn main() {
     // 3. Two HPCC flows to host 2: the second joins 100 us in, at line
     //    rate, stealing bandwidth from the first.
     let spec = CcSpec::new(ProtocolKind::Hpcc, Variant::Default);
-    for (i, start_us) in [(0u64, 0u64), (1, 100)] {
+    for (i, start_us) in [0u64, 100].into_iter().enumerate() {
         net.add_flow(
             FlowSpec {
-                src: hosts[i as usize],
+                src: hosts[i],
                 dst: hosts[2],
                 size: Bytes::from_mb(2),
                 start: Nanos::from_micros(start_us),
             },
-            spec.build(&env, i),
+            spec.build(&env, i as u64),
         );
     }
 

@@ -22,8 +22,8 @@
 //! `Nanos`, `Bytes` and `BitRate` keep their field private to `dcsim`, so
 //! everywhere else — sim crates, support crates, tests, `bench` — an
 //! untyped integer becomes a unit only through a named constructor and
-//! leaves only through `.as_u64()`. The compiler enforces what the retired
-//! simlint rules U2/U3 checked in part:
+//! leaves only through `.as_u64()`, so mixing units needs a visible
+//! escape. The compiler enforces it:
 //!
 //! ```compile_fail
 //! let t = fairness_repro::dcsim::Nanos(5); // use Nanos::from_ns(5)

@@ -29,7 +29,7 @@ impl CongestionControl for FixedRate {
 fn prop_star_flows_complete_and_conserve_bytes() {
     for case in 0..24u64 {
         let mut rng = DetRng::new(0xface_0000 + case);
-        let n_hosts = 3 + rng.below(7) as usize;
+        let n_hosts = 3 + rng.index(7);
         let mut b = NetBuilder::new();
         let hosts: Vec<_> = (0..n_hosts).map(|_| b.add_host()).collect();
         let sw = b.add_switch();
@@ -39,8 +39,8 @@ fn prop_star_flows_complete_and_conserve_bytes() {
         let mut net = b.build(NetConfig::default(), MonitorConfig::default());
         let mut n_flows = 0usize;
         for _ in 0..1 + rng.below(11) {
-            let src = rng.below(n_hosts as u64) as usize;
-            let dst = rng.below(n_hosts as u64) as usize;
+            let src = rng.index(n_hosts);
+            let dst = rng.index(n_hosts);
             if src == dst {
                 continue;
             }
@@ -203,7 +203,7 @@ fn prop_simultaneous_incast_shares_stay_near_fair() {
                 .monitor
                 .samples()
                 .iter()
-                .filter(|s| s.t.as_u64() > RUN.as_u64() / 2)
+                .filter(|s| s.t > RUN / 2)
                 .collect();
             assert_eq!(late.len(), 600, "{}", cc.label());
             let fair = line_rate.as_u64() as f64 / N as f64;
@@ -227,7 +227,7 @@ fn prop_simultaneous_incast_shares_stay_near_fair() {
             }
             assert!(
                 // 0.1 %: a packet per flow may straddle the window's edges.
-                total <= line_rate.as_u64() as f64 * 1.001,
+                total <= line_rate.as_f64() * 1.001,
                 "{}: flows delivered {total} bit/s over a {line_rate} link",
                 cc.label(),
             );

@@ -9,11 +9,11 @@
 //! * deltas spanning every wheel level, slot boundaries, and the
 //!   overflow/spill range beyond the wheel's 2^36 ns span.
 //!
-//! The same-timestamp burst cases are also the stand-in for the retired
-//! simlint rule P4 (event heaps keyed by bare time): both `BinaryHeap`s in
-//! the workspace are `(time, seq)`-keyed, and a heap that lost its
-//! sequence tie-break pops a burst out of push order here. Likewise
-//! `network_events_stay_two_words` stands in for A2 (boxed event payloads).
+//! The same-timestamp burst cases also guard the event heaps' key: both
+//! `BinaryHeap`s in the workspace are `(time, seq)`-keyed, and a heap that
+//! lost its sequence tie-break pops a burst out of push order here.
+//! Likewise `network_events_stay_two_words` guards against boxed event
+//! payloads.
 
 use fairness_repro::dcsim::{DetRng, EventQueue, Nanos, Scheduler, TimingWheel};
 
